@@ -1,8 +1,8 @@
 # Tier-1+ gate for the PRID reproduction. `make check` is what a PR must
 # pass: formatting (gofmt -s), vet, the pridlint invariant suite, build,
-# the full test suite (shuffled), and the five end-to-end smokes
-# (serving correctness, chaos resilience, load/SLO, multi-node gateway,
-# crash durability).
+# the full test suite (shuffled), the benchmark module's vet and tests,
+# and the five end-to-end smokes (serving correctness, chaos resilience,
+# load/SLO, multi-node gateway, crash durability).
 # `make race` additionally runs the race detector over the packages with
 # concurrency (and everything else), `make chaos` hammers the server
 # with an aggressive fault schedule, `make soak` runs the minutes-long
@@ -12,7 +12,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt lint lint-report check bench bench-compile bench-snapshot serve-smoke chaos-smoke chaos load-smoke gateway-smoke crash-smoke soak slo-snapshot
+.PHONY: build test race vet fmt lint lint-report check bench bench-compile bench-module bench-snapshot serve-smoke chaos-smoke chaos load-smoke gateway-smoke crash-smoke soak slo-snapshot
 
 build:
 	$(GO) build ./...
@@ -65,7 +65,7 @@ lint-report:
 	$(GO) run ./cmd/pridlint -json ./... > pridlint.json || true
 	$(GO) run ./cmd/pridlint -sarif ./... > pridlint.sarif || true
 
-check: fmt vet lint build test bench-compile serve-smoke chaos-smoke load-smoke gateway-smoke crash-smoke
+check: fmt vet lint build test bench-compile bench-module serve-smoke chaos-smoke load-smoke gateway-smoke crash-smoke
 
 # Benchmark-compile gate: every benchmark must build and survive one
 # iteration, so benches cannot rot uncompiled (or silently broken)
@@ -73,6 +73,14 @@ check: fmt vet lint build test bench-compile serve-smoke chaos-smoke load-smoke 
 # measurement.
 bench-compile:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# bench/ is its own Go module, so the root build and test never compile
+# it; vet and test it here so a change to a package it imports (engine,
+# obs, store, hdc, the root prid package) cannot break the benchmark
+# unnoticed.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # End-to-end gate for the serving subsystem: builds the binary, trains
 # and saves two quick models, starts `prid serve` on a random port,

@@ -1,12 +1,8 @@
 package main
 
 import (
-	"context"
 	"fmt"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"prid/internal/gateway"
@@ -77,24 +73,6 @@ func cmdGateway(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := g.Start(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "gateway: listening on http://%s (%d backends, replicas=%d, quorum=%v; /v1/* /gatewayz /debug/vars /debug/pprof)\n",
-		g.Addr(), len(backends), *replicas, *quorum)
-	if *addrFile != "" {
-		// Atomic so a watcher script can never read a half-written address.
-		if err := store.AtomicWriteFile(*addrFile, []byte(g.Addr()), 0o644); err != nil {
-			return fmt.Errorf("gateway: writing --addr-file: %w", err)
-		}
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	stop() // restore default signal behaviour: a second ^C kills hard
-	fmt.Fprintf(os.Stderr, "gateway: draining (up to %s)\n", *drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	return g.Shutdown(shutdownCtx)
+	return runUntilSignal("gateway", g, *addrFile, *drain,
+		fmt.Sprintf("%d backends, replicas=%d, quorum=%v; /v1/* /gatewayz /debug/vars /debug/pprof", len(backends), *replicas, *quorum))
 }

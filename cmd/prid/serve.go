@@ -117,15 +117,31 @@ func cmdServe(args []string) error {
 	if s.Registry().Len() == 0 {
 		return fmt.Errorf("serve: no models loaded (use --model name=path, --models-dir, or --store; files come from 'prid train --save', stores from 'prid train --store')")
 	}
-	if err := s.Start(); err != nil {
+	return runUntilSignal("serve", s, *addrFile, *drain,
+		fmt.Sprintf("%d models; /v1/predict /v1/similarities /v1/reconstruct /v1/audit/leakage /v1/models /debug/vars /debug/pprof", s.Registry().Len()))
+}
+
+// process is a server the CLI runs in the foreground: `prid serve` and
+// `prid gateway`.
+type process interface {
+	Start() error
+	Addr() string
+	Shutdown(ctx context.Context) error
+}
+
+// runUntilSignal is the one lifecycle of a foreground server: start p,
+// announce its bound address and what it serves (detail) on stderr,
+// write the address to addrFile when set, wait for SIGINT/SIGTERM, then
+// drain for up to drain.
+func runUntilSignal(name string, p process, addrFile string, drain time.Duration, detail string) error {
+	if err := p.Start(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "serve: listening on http://%s (%d models; /v1/predict /v1/similarities /v1/reconstruct /v1/audit/leakage /v1/models /debug/vars /debug/pprof)\n",
-		s.Addr(), s.Registry().Len())
-	if *addrFile != "" {
+	fmt.Fprintf(os.Stderr, "%s: listening on http://%s (%s)\n", name, p.Addr(), detail)
+	if addrFile != "" {
 		// Atomic so a watcher script can never read a half-written address.
-		if err := store.AtomicWriteFile(*addrFile, []byte(s.Addr()), 0o644); err != nil {
-			return fmt.Errorf("serve: writing --addr-file: %w", err)
+		if err := store.AtomicWriteFile(addrFile, []byte(p.Addr()), 0o644); err != nil {
+			return fmt.Errorf("%s: writing --addr-file: %w", name, err)
 		}
 	}
 
@@ -133,8 +149,8 @@ func cmdServe(args []string) error {
 	defer stop()
 	<-ctx.Done()
 	stop() // restore default signal behaviour: a second ^C kills hard
-	fmt.Fprintf(os.Stderr, "serve: draining (up to %s)\n", *drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
+	fmt.Fprintf(os.Stderr, "%s: draining (up to %s)\n", name, drain)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
-	return s.Shutdown(shutdownCtx)
+	return p.Shutdown(shutdownCtx)
 }

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"prid/internal/serve/wire"
 )
 
 // TestGatewayMembershipChurnUnderTraffic is the concurrency gate `make
@@ -71,7 +73,7 @@ func TestGatewayMembershipChurnUnderTraffic(t *testing.T) {
 					t.Errorf("worker %d: status %d: %s", w, resp.StatusCode, body)
 					return
 				}
-				var out predictResponse
+				var out wire.PredictResponse
 				if err := json.Unmarshal(body, &out); err != nil {
 					failed.Add(1)
 					t.Errorf("worker %d: %v", w, err)

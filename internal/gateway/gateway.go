@@ -1,8 +1,15 @@
 // Package gateway is the horizontal-scale front of the PRID serving
-// stack: an HTTP server that consistent-hash-routes model names across a
-// fleet of `prid serve` backends, so the registry — and the paper's
+// stack: a router that consistent-hash-routes model names across a fleet
+// of `prid serve` backends, so the registry — and the paper's
 // query-access attack surface with it — stops being a single-process
 // property.
+//
+// The gateway has no HTTP stack of its own. *Gateway implements
+// serve.Backend — predict, similarities, reconstruct and audit routed
+// over the ring, the fleet union for Models, Reload fanned out to every
+// backend — and serves /v1 through the same serve.Edge as a single
+// node, under the "gateway" metric prefix, with no shed table and no
+// fault injector. It adds only /healthz, /readyz and /gatewayz.
 //
 // Topology: every backend serves the full model set (fleet replication);
 // the ring assigns each model name an owner plus an ordered failover set
@@ -28,13 +35,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"prid/internal/obs"
+	"prid/internal/serve"
 	"prid/internal/serve/client"
 	"prid/internal/store"
 )
@@ -161,17 +167,16 @@ type Gateway struct {
 	backends map[string]*backend // keyed by URL; immutable after New
 	order    []string            // cfg.Backends order, for deterministic sweeps
 
-	srv  *http.Server
-	ln   net.Listener
-	sem  chan struct{}
-	slow *obs.TraceRing
+	// edge serves /v1 from the gateway's Backend methods, beside the
+	// gateway's own probes and membership view.
+	edge *serve.Edge
 	// probe is the raw readiness prober (no retries — a probe that needs
 	// retries is a failed probe).
 	probe *http.Client
 
-	draining  atomic.Bool
 	stopOnce  sync.Once
 	probeStop chan struct{}
+	// probeDone closes when the prober exits; nil until Start launches it.
 	probeDone chan struct{}
 
 	evMu     sync.Mutex
@@ -192,11 +197,8 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:       cfg,
 		ring:      NewRing(cfg.Seed, cfg.VNodes),
 		backends:  make(map[string]*backend, len(cfg.Backends)),
-		sem:       make(chan struct{}, cfg.MaxInFlight),
-		slow:      obs.NewTraceRing(cfg.SlowTraces),
 		probe:     &http.Client{Timeout: cfg.ProbeTimeout},
 		probeStop: make(chan struct{}),
-		probeDone: make(chan struct{}),
 	}
 	for _, url := range cfg.Backends {
 		if _, dup := g.backends[url]; dup {
@@ -223,7 +225,17 @@ func New(cfg Config) (*Gateway, error) {
 		g.ring.Add(url)
 	}
 	g.healthyN.Store(int64(len(g.order)))
-	g.srv = &http.Server{Handler: g.mux(), ReadHeaderTimeout: 5 * time.Second}
+	// The edge takes no shed table (the backends own the expensive work
+	// and shed for themselves) and no fault injector.
+	g.edge = serve.NewEdge(g, serve.Config{
+		Addr:           cfg.Addr,
+		MaxInFlight:    cfg.MaxInFlight,
+		RequestTimeout: cfg.RequestTimeout,
+		SlowTraces:     cfg.SlowTraces,
+	}, "gateway", stageProxy, nil)
+	g.edge.HandleFunc("/healthz", g.handleHealth)
+	g.edge.HandleFunc("/readyz", g.handleReady)
+	g.edge.HandleFunc("/gatewayz", g.handleGatewayz)
 	return g, nil
 }
 
@@ -232,18 +244,11 @@ func New(cfg Config) (*Gateway, error) {
 // background goroutine, and starts the prober.
 func (g *Gateway) Start() error {
 	g.sweep()
-	ln, err := net.Listen("tcp", g.cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("gateway: listening on %s: %w", g.cfg.Addr, err)
+	if err := g.edge.Start(); err != nil {
+		return err
 	}
-	g.ln = ln
-	go func() {
-		if err := g.srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			metricServeFailures.Inc()
-			logger.Error("gateway serve loop exited", "err", err)
-		}
-	}()
-	go g.prober()
+	g.probeDone = make(chan struct{})
+	go g.prober(g.probeDone)
 	//pridlint:allow leaksurface logs the bound address and ring topology config only
 	logger.Info("gateway serving", "addr", g.Addr(), "backends", len(g.order),
 		"healthy", g.healthyN.Load(), "replicas", g.cfg.Replicas, "quorum", g.cfg.Quorum,
@@ -253,17 +258,25 @@ func (g *Gateway) Start() error {
 
 // Addr returns the bound address (resolving ":0" to the real port).
 // Only valid after Start.
-func (g *Gateway) Addr() string { return g.ln.Addr().String() }
+func (g *Gateway) Addr() string { return g.edge.Addr() }
 
-// Shutdown marks the gateway draining (visible on /readyz), stops the
-// prober, and drains in-flight requests bounded by ctx. Safe to call
-// more than once (gates defer a shutdown beside their explicit one).
+// Shutdown marks the gateway draining (visible on /readyz), drains
+// in-flight requests, and stops the prober, all bounded by ctx. It
+// returns at once on a gateway whose Start failed or never ran, and is
+// safe to call more than once (gates defer a shutdown beside their
+// explicit one).
 func (g *Gateway) Shutdown(ctx context.Context) error {
-	g.draining.Store(true)
+	err := g.edge.Shutdown(ctx)
 	g.stopOnce.Do(func() { close(g.probeStop) })
-	<-g.probeDone
-	if err := g.srv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("gateway: shutdown: %w", err)
+	if g.probeDone != nil && err == nil {
+		select {
+		case <-g.probeDone:
+		case <-ctx.Done():
+			err = fmt.Errorf("gateway: shutdown: %w", ctx.Err())
+		}
+	}
+	if err != nil {
+		return err
 	}
 	logger.Info("gateway drained and stopped")
 	return nil
@@ -271,9 +284,9 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 
 // --- membership -------------------------------------------------------
 
-// prober sweeps backend readiness until Shutdown.
-func (g *Gateway) prober() {
-	defer close(g.probeDone)
+// prober sweeps backend readiness until Shutdown, then closes done.
+func (g *Gateway) prober(done chan struct{}) {
+	defer close(done)
 	tick := time.NewTicker(g.cfg.ProbeInterval)
 	defer tick.Stop()
 	for {

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -8,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"prid/internal/obs"
 	"prid/internal/serve"
+	"prid/internal/serve/wire"
 )
 
 // fleet starts n backends and a gateway over them.
@@ -47,7 +50,7 @@ func TestGatewayPredictBitIdentical(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
-		var out predictResponse
+		var out wire.PredictResponse
 		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +72,7 @@ func TestGatewayModelsAggregate(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var out modelsResponse
+	var out wire.ModelsResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +120,7 @@ func TestGatewayRelaysClientErrors(t *testing.T) {
 		t.Fatalf("malformed body: status %d", r2.StatusCode)
 	}
 
-	var env apiError
+	var env wire.ErrorResponse
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +146,7 @@ func TestGatewayEjectRejoin(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", context, resp.StatusCode, body)
 		}
-		var out predictResponse
+		var out wire.PredictResponse
 		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatal(err)
 		}
@@ -282,32 +285,39 @@ func TestGatewayRequestIDPropagation(t *testing.T) {
 		t.Fatalf("gateway echoed request ID %q, want %q", got, reqID)
 	}
 
-	// The same ID must appear in the backend's slow-trace ring.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		r2, err := http.Get("http://" + backends[0].Addr() + "/debug/requests")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var snap struct {
-			Slowest []struct {
-				ID string `json:"id"`
-			} `json:"slowest"`
-		}
-		err = json.NewDecoder(r2.Body).Decode(&snap)
-		r2.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tr := range snap.Slowest {
-			if tr.ID == reqID {
-				return
+	// The same ID must appear in the backend's slow-trace ring, and in
+	// the gateway's with the gateway's own stages.
+	stages := func(base string) []string {
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			r2, err := http.Get(base + "/debug/requests")
+			if err != nil {
+				t.Fatal(err)
 			}
+			var snap obs.TraceRingSnapshot
+			err = json.NewDecoder(r2.Body).Decode(&snap)
+			r2.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tr := range snap.Slowest {
+				if tr.ID == reqID {
+					var names []string
+					for _, st := range tr.Stages {
+						names = append(names, st.Name)
+					}
+					return names
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("request ID %q never appeared in %s/debug/requests", reqID, base)
+			}
+			time.Sleep(20 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("request ID %q never appeared in backend /debug/requests", reqID)
-		}
-		time.Sleep(20 * time.Millisecond)
+	}
+	stages("http://" + backends[0].Addr())
+	if got := strings.Join(stages(base), ","); got != "admitted,proxy,write" {
+		t.Fatalf("gateway trace stages %s, want admitted,proxy,write", got)
 	}
 }
 
@@ -337,4 +347,36 @@ func postGet(t *testing.T, url string) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, body
+}
+
+// TestGatewayShutdownWithoutServing: Shutdown returns, within its
+// context, on a gateway whose Start failed or never ran — no prober is
+// running for it to wait on.
+func TestGatewayShutdownWithoutServing(t *testing.T) {
+	for _, start := range []bool{true, false} {
+		g, err := New(Config{Addr: "127.0.0.1:-1", Backends: []string{"http://127.0.0.1:1"},
+			ProbeInterval: 20 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if start {
+			if err := g.Start(); err == nil {
+				t.Fatal("Start on an invalid address succeeded")
+			}
+		}
+		done := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			done <- g.Shutdown(ctx)
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("Shutdown (Start called: %v): %v", start, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("Shutdown (Start called: %v) still blocked after 2s", start)
+		}
+	}
 }

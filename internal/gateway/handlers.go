@@ -1,182 +1,18 @@
 package gateway
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
-	"sort"
-	"sync"
-	"time"
 
-	"prid/internal/obs"
-	"prid/internal/serve/client"
+	"prid/internal/serve"
 	"prid/internal/store"
 )
 
-// maxBodyBytes caps request bodies, matching the backend's limit: the
-// gateway must not accept what the fleet would refuse.
-const maxBodyBytes = 1 << 26
-
-// apiError is the JSON error envelope, identical to the backend's so a
-// client cannot tell (and need not care) which layer refused it.
-type apiError struct {
-	Error     string `json:"error"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
-func writeError(w http.ResponseWriter, r *http.Request, status int, err error) error {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	body := apiError{Error: err.Error(), RequestID: obs.ReqTraceFrom(r.Context()).ID()}
-	json.NewEncoder(w).Encode(body) //pridlint:allow errdrop the status line is already committed; the returned err IS the response
-	return err
-}
-
-// writeRouteError maps a routing failure to its HTTP answer: relayed
-// backend verdicts and terminal routeErrors keep their status, anything
-// else is a 502.
-func writeRouteError(w http.ResponseWriter, r *http.Request, err error) error {
-	var re *routeError
-	if errors.As(err, &re) {
-		if re.retryAfter > 0 {
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", re.retryAfter))
-		}
-		return writeError(w, r, re.status, re.err)
-	}
-	return writeError(w, r, http.StatusBadGateway, err)
-}
-
-func writeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	return json.NewEncoder(w).Encode(v)
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("malformed request body: %w", err)
-	}
-	return nil
-}
-
-func requireMethod(w http.ResponseWriter, r *http.Request, method string) error {
-	if r.Method != method {
-		w.Header().Set("Allow", method)
-		return writeError(w, r, http.StatusMethodNotAllowed,
-			fmt.Errorf("%s requires %s, got %s", r.URL.Path, method, r.Method))
-	}
-	return nil
-}
-
-// mux builds the gateway's routing table: the full /v1 serving surface
-// proxied across the fleet, the gateway's own probes and membership
-// view, and the standard debug endpoints.
-func (g *Gateway) mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", g.handleHealth)
-	mux.HandleFunc("/readyz", g.handleReady)
-	mux.HandleFunc("/gatewayz", g.handleGatewayz)
-	mux.Handle("/v1/models", g.limited("models", g.handleModels))
-	mux.Handle("/v1/models/reload", g.limited("models", g.handleReload))
-	mux.Handle("/v1/predict", g.limited("predict", g.handlePredict))
-	mux.Handle("/v1/similarities", g.limited("similarities", g.handleSimilarities))
-	mux.Handle("/v1/reconstruct", g.limited("reconstruct", g.handleReconstruct))
-	mux.Handle("/v1/audit/leakage", g.limited("audit", g.handleAuditLeakage))
-	obs.PublishExpvar()
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/debug/requests", g.handleDebugRequests)
-	return mux
-}
-
-// limited wraps an endpoint handler with the gateway's edge stack:
-// request-ID assignment (keeping the client's when it sent one — the
-// same ID then rides the backend hop) and the request trace, the
-// concurrency semaphore, the request timeout, panic recovery, and
-// per-endpoint metrics. No tiered shedding here: the backends own the
-// expensive work and shed for themselves; the gateway only guards its
-// own fan-out concurrency.
-func (g *Gateway) limited(name string, h func(w http.ResponseWriter, r *http.Request) error) http.Handler {
-	core := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		err := h(w, r)
-		obs.ReqTraceFrom(r.Context()).Mark(stageWrite)
-		observeRequest(name, start, err != nil)
-		if err != nil {
-			logger.Debug("request failed", "endpoint", name,
-				"req_id", obs.ReqTraceFrom(r.Context()).ID(), "err", err)
-		}
-	})
-	inner := g.recovery(name, core)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-ID")
-		if id == "" {
-			id = obs.NewRequestID()
-		}
-		w.Header().Set("X-Request-ID", id)
-		tr := obs.NewReqTrace(id, name)
-		r = r.WithContext(obs.ContextWithReqTrace(r.Context(), tr))
-		defer func() {
-			tr.Finish()
-			g.slow.Record(tr)
-		}()
-
-		select {
-		case g.sem <- struct{}{}:
-		default:
-			metricRejected.Inc()
-			metricRequests[name].Inc()
-			metricErrors[name].Inc()
-			w.Header().Set("Retry-After", "1")
-			writeError(w, r, http.StatusServiceUnavailable, //pridlint:allow errdrop response already committed; the rejection itself is the signal
-				fmt.Errorf("gateway at capacity (%d requests in flight)", g.cfg.MaxInFlight))
-			return
-		}
-		tr.Mark(stageAdmitted)
-		metricInFlight.Set(float64(len(g.sem)))
-		defer func() {
-			<-g.sem
-			metricInFlight.Set(float64(len(g.sem)))
-		}()
-
-		ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
-		defer cancel()
-		inner.ServeHTTP(w, r.WithContext(ctx))
-	})
-}
-
-// recovery converts a handler panic into a 500, same contract as the
-// backend transport's middleware.
-func (g *Gateway) recovery(name string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if p := recover(); p != nil {
-				if err, ok := p.(error); ok && errors.Is(err, http.ErrAbortHandler) {
-					panic(p)
-				}
-				metricPanics.Inc()
-				metricErrors[name].Inc()
-				logger.Error("handler panic recovered", "endpoint", name,
-					"req_id", obs.ReqTraceFrom(r.Context()).ID(), "panic", p)
-				writeError(w, r, http.StatusInternalServerError, //pridlint:allow errdrop response already committed; the panic is already logged and counted
-					fmt.Errorf("internal error: recovered from panic: %v", p))
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// --- probes and membership --------------------------------------------
+// The gateway's own endpoints, mounted on its serve.Edge beside the
+// shared /v1 and debug surface: liveness and readiness in fleet terms,
+// and the membership view.
 
 func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -187,10 +23,10 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 // answer, exactly the state an upstream balancer must route around.
 func (g *Gateway) handleReady(w http.ResponseWriter, r *http.Request) {
 	switch {
-	case g.draining.Load():
-		writeError(w, r, http.StatusServiceUnavailable, errors.New("draining")) //pridlint:allow errdrop probe response; the balancer only reads the status code
+	case g.edge.Draining():
+		serve.WriteError(w, r, http.StatusServiceUnavailable, errors.New("draining")) //pridlint:allow errdrop probe response; the balancer only reads the status code
 	case g.healthyN.Load() == 0:
-		writeError(w, r, http.StatusServiceUnavailable, errors.New("no healthy backends")) //pridlint:allow errdrop probe response; the balancer only reads the status code
+		serve.WriteError(w, r, http.StatusServiceUnavailable, errors.New("no healthy backends")) //pridlint:allow errdrop probe response; the balancer only reads the status code
 	default:
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintf(w, "ready %d/%d backends\n", g.healthyN.Load(), len(g.order)) //pridlint:allow errdrop probe response; a write failure has no in-band recovery
@@ -243,298 +79,4 @@ func (g *Gateway) handleGatewayz(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(resp) //pridlint:allow errdrop debug readout; a write failure has no in-band recovery
-}
-
-func (g *Gateway) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(g.slow.Snapshot()) //pridlint:allow errdrop debug readout; a write failure has no in-band recovery
-}
-
-// --- GET /v1/models ---------------------------------------------------
-
-type modelsResponse struct {
-	Models []client.ModelInfo `json:"models"`
-}
-
-// handleModels aggregates the fleet's registries: every healthy backend
-// is asked concurrently and the union (by model name) comes back sorted.
-// One success suffices — the fleet serves replicas, not partitions of
-// the model set.
-func (g *Gateway) handleModels(w http.ResponseWriter, r *http.Request) error {
-	if err := requireMethod(w, r, http.MethodGet); err != nil {
-		return err
-	}
-	// The whole fleet, healthy-first — not the replica set: aggregation
-	// must see every backend, including one that uniquely holds a model
-	// mid-rollout.
-	var cands []*backend
-	var down []*backend
-	for _, url := range g.order {
-		if b := g.backends[url]; b.healthy.Load() {
-			cands = append(cands, b)
-		} else {
-			down = append(down, b)
-		}
-	}
-	cands = append(cands, down...)
-	type result struct {
-		models []client.ModelInfo
-		err    error
-	}
-	results := make([]result, len(cands))
-	var wg sync.WaitGroup
-	for i, b := range cands {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			b.requests.Add(1)
-			m, err := b.cli.Models(r.Context())
-			results[i] = result{m, err}
-			if err != nil {
-				if shed(err) {
-					b.shed.Add(1)
-				} else {
-					b.failures.Add(1)
-				}
-			}
-		}(i, b)
-	}
-	wg.Wait()
-	obs.ReqTraceFrom(r.Context()).Mark(stageProxy)
-	merged := map[string]client.ModelInfo{}
-	ok := false
-	var lastErr error
-	for _, res := range results {
-		if res.err != nil {
-			lastErr = res.err
-			continue
-		}
-		ok = true
-		for _, m := range res.models {
-			if _, dup := merged[m.Name]; !dup {
-				merged[m.Name] = m
-			}
-		}
-	}
-	if !ok {
-		return writeRouteError(w, r, terminal(lastErr, false, len(cands)))
-	}
-	names := make([]string, 0, len(merged))
-	for name := range merged {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := modelsResponse{Models: make([]client.ModelInfo, 0, len(names))}
-	for _, name := range names {
-		out.Models = append(out.Models, merged[name])
-	}
-	return writeJSON(w, r, out)
-}
-
-// --- POST /v1/models/reload -------------------------------------------
-
-type reloadResponse struct {
-	// Reloaded sums the per-backend reload counts; Backends is how many
-	// backends applied it.
-	Reloaded int `json:"reloaded"`
-	Backends int `json:"backends"`
-}
-
-// handleReload fans the reload out to the whole configured fleet —
-// including currently-ejected backends, which must not rejoin with stale
-// models. A partial reload leaves the fleet divergent, which would break
-// the bit-identical replica contract, so any failure fails the call
-// loudly rather than reporting the subset that worked.
-func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) error {
-	if err := requireMethod(w, r, http.MethodPost); err != nil {
-		return err
-	}
-	type result struct {
-		n   int
-		err error
-	}
-	results := make([]result, len(g.order))
-	var wg sync.WaitGroup
-	for i, url := range g.order {
-		b := g.backends[url]
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			b.requests.Add(1)
-			n, err := b.cli.Reload(r.Context())
-			results[i] = result{n, err}
-			if err != nil {
-				b.failures.Add(1)
-			}
-		}(i, b)
-	}
-	wg.Wait()
-	obs.ReqTraceFrom(r.Context()).Mark(stageProxy)
-	out := reloadResponse{}
-	for i, res := range results {
-		if res.err != nil {
-			return writeError(w, r, http.StatusBadGateway,
-				fmt.Errorf("reload incomplete (fleet may be divergent): backend %s: %w", g.order[i], res.err))
-		}
-		out.Reloaded += res.n
-		out.Backends++
-	}
-	return writeJSON(w, r, out)
-}
-
-// --- POST /v1/predict -------------------------------------------------
-
-// The request/response shapes mirror the backend transport's exactly:
-// the gateway is a drop-in target for any client of a single `prid
-// serve` node.
-type predictRequest struct {
-	Model  string      `json:"model"`
-	Inputs [][]float64 `json:"inputs,omitempty"`
-	Input  []float64   `json:"input,omitempty"`
-}
-
-type predictResponse struct {
-	Model       string `json:"model"`
-	Predictions []int  `json:"predictions"`
-}
-
-func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) error {
-	if err := requireMethod(w, r, http.MethodPost); err != nil {
-		return err
-	}
-	var req predictRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		return writeError(w, r, http.StatusBadRequest, err)
-	}
-	if (len(req.Inputs) == 0) == (len(req.Input) == 0) {
-		return writeError(w, r, http.StatusBadRequest,
-			errors.New(`exactly one of "input" and "inputs" must be set`))
-	}
-	rows := req.Inputs
-	if len(rows) == 0 {
-		rows = [][]float64{req.Input}
-	}
-	v, err := g.route(r.Context(), req.Model, func(ctx context.Context, cli *client.Client) (any, error) {
-		return cli.Predict(ctx, req.Model, rows)
-	})
-	obs.ReqTraceFrom(r.Context()).Mark(stageProxy)
-	if err != nil {
-		return writeRouteError(w, r, err)
-	}
-	return writeJSON(w, r, predictResponse{Model: req.Model, Predictions: v.([]int)})
-}
-
-// --- POST /v1/similarities --------------------------------------------
-
-type similaritiesRequest struct {
-	Model string    `json:"model"`
-	Input []float64 `json:"input"`
-}
-
-type similaritiesResponse struct {
-	Model        string    `json:"model"`
-	Class        int       `json:"class"`
-	Similarities []float64 `json:"similarities"`
-}
-
-// simsResult bundles the two-value similarity reply so quorum mode can
-// compare whole answers.
-type simsResult struct {
-	Class int
-	Sims  []float64
-}
-
-func (g *Gateway) handleSimilarities(w http.ResponseWriter, r *http.Request) error {
-	if err := requireMethod(w, r, http.MethodPost); err != nil {
-		return err
-	}
-	var req similaritiesRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		return writeError(w, r, http.StatusBadRequest, err)
-	}
-	v, err := g.route(r.Context(), req.Model, func(ctx context.Context, cli *client.Client) (any, error) {
-		class, sims, err := cli.Similarities(ctx, req.Model, req.Input)
-		if err != nil {
-			return nil, err
-		}
-		return simsResult{Class: class, Sims: sims}, nil
-	})
-	obs.ReqTraceFrom(r.Context()).Mark(stageProxy)
-	if err != nil {
-		return writeRouteError(w, r, err)
-	}
-	res := v.(simsResult)
-	return writeJSON(w, r, similaritiesResponse{Model: req.Model, Class: res.Class, Similarities: res.Sims})
-}
-
-// --- POST /v1/reconstruct ---------------------------------------------
-
-type reconstructRequest struct {
-	Model string    `json:"model"`
-	Query []float64 `json:"query"`
-}
-
-type reconstructResponse struct {
-	Model      string    `json:"model"`
-	Class      int       `json:"class"`
-	Similarity float64   `json:"similarity"`
-	Data       []float64 `json:"data"`
-}
-
-func (g *Gateway) handleReconstruct(w http.ResponseWriter, r *http.Request) error {
-	if err := requireMethod(w, r, http.MethodPost); err != nil {
-		return err
-	}
-	var req reconstructRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		return writeError(w, r, http.StatusBadRequest, err)
-	}
-	v, err := g.route(r.Context(), req.Model, func(ctx context.Context, cli *client.Client) (any, error) {
-		return cli.Reconstruct(ctx, req.Model, req.Query)
-	})
-	obs.ReqTraceFrom(r.Context()).Mark(stageProxy)
-	if err != nil {
-		return writeRouteError(w, r, err)
-	}
-	recon := v.(client.Reconstruction)
-	return writeJSON(w, r, reconstructResponse{
-		Model:      req.Model,
-		Class:      recon.Class,
-		Similarity: recon.Similarity,
-		Data:       recon.Data,
-	})
-}
-
-// --- POST /v1/audit/leakage -------------------------------------------
-
-type auditRequest struct {
-	Model   string      `json:"model"`
-	Train   [][]float64 `json:"train"`
-	Queries [][]float64 `json:"queries"`
-}
-
-type auditResponse struct {
-	Model   string  `json:"model"`
-	Leakage float64 `json:"leakage"`
-	Queries int     `json:"queries"`
-}
-
-func (g *Gateway) handleAuditLeakage(w http.ResponseWriter, r *http.Request) error {
-	if err := requireMethod(w, r, http.MethodPost); err != nil {
-		return err
-	}
-	var req auditRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		return writeError(w, r, http.StatusBadRequest, err)
-	}
-	v, err := g.route(r.Context(), req.Model, func(ctx context.Context, cli *client.Client) (any, error) {
-		return cli.AuditLeakage(ctx, req.Model, req.Train, req.Queries)
-	})
-	obs.ReqTraceFrom(r.Context()).Mark(stageProxy)
-	if err != nil {
-		return writeRouteError(w, r, err)
-	}
-	return writeJSON(w, r, auditResponse{Model: req.Model, Leakage: v.(float64), Queries: len(req.Queries)})
 }

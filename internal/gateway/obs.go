@@ -1,31 +1,17 @@
 package gateway
 
-import (
-	"time"
-
-	"prid/internal/obs"
-)
+import "prid/internal/obs"
 
 // Metric handles are resolved once at package init per the obs hot-path
-// discipline. Fleet-global behavior lives here under gateway.*;
-// per-backend accounting lives in the backend struct's atomics and is
+// discipline. Fleet-global routing and membership behavior lives here
+// under gateway.*; the per-endpoint request, error, latency, admission
+// and panic metrics are the edge's, under the same gateway.* prefix
+// (internal/serve). Per-backend accounting lives in the backend struct's atomics and is
 // surfaced on /gatewayz (dynamic metric names per backend URL would
 // defeat the fixed-roster registry).
 var (
 	logger = obs.Logger("gateway")
 
-	// Per-endpoint request counters and latency histograms, keyed by the
-	// short endpoint name ("predict", "similarities", ...). These measure
-	// the full gateway hop: routing, backend round trip(s), response
-	// write.
-	metricRequests = map[string]*obs.Counter{}
-	metricErrors   = map[string]*obs.Counter{}
-	metricSeconds  = map[string]*obs.Histogram{}
-
-	// Admission and resilience at the gateway edge.
-	metricInFlight = obs.GetGauge("gateway.inflight")
-	metricRejected = obs.GetCounter("gateway.rejected")
-	metricPanics   = obs.GetCounter("gateway.panics")
 	// metricFailovers counts synchronous replica failovers: a candidate
 	// failed and the router moved to the next one. Nonzero failovers with
 	// zero client-visible errors is the fleet working as designed.
@@ -39,39 +25,11 @@ var (
 	metricProbeFailures = obs.GetCounter("gateway.probe_failures")
 	metricEjections     = obs.GetCounter("gateway.ejections")
 	metricRejoins       = obs.GetCounter("gateway.rejoins")
-
-	// metricServeFailures counts accept-loop exits that were not a
-	// requested shutdown.
-	metricServeFailures = obs.GetCounter("gateway.loop_failures")
 )
 
-// endpointNames is the fixed roster the maps above are populated for
-// (reload shares "models", matching the serve transport's accounting).
-var endpointNames = []string{"models", "predict", "similarities", "reconstruct", "audit"}
-
-func init() {
-	for _, name := range endpointNames {
-		metricRequests[name] = obs.GetCounter("gateway." + name + ".requests")
-		metricErrors[name] = obs.GetCounter("gateway." + name + ".errors")
-		metricSeconds[name] = obs.GetHistogram("gateway."+name+".seconds", nil)
-	}
-}
-
-// Gateway-owned stage names of the request trace: admission wait, the
-// routed backend round trip(s), response write. The backend's own
-// stages appear in its /debug/requests ring under the same request ID —
-// that is what the X-Request-ID propagation buys.
-const (
-	stageAdmitted = "admitted"
-	stageProxy    = "proxy"
-	stageWrite    = "write"
-)
-
-// observeRequest records one completed request on endpoint name.
-func observeRequest(name string, start time.Time, failed bool) {
-	metricRequests[name].Inc()
-	metricSeconds[name].ObserveSince(start)
-	if failed {
-		metricErrors[name].Inc()
-	}
-}
+// stageProxy is the gateway's request-trace stage: the routed backend
+// round trip(s), marked by its edge when a Backend call returns, between
+// the edge's own admission and write stages. The backend's own stages
+// appear in its /debug/requests ring under the same request ID — that
+// is what the X-Request-ID propagation buys.
+const stageProxy = "proxy"

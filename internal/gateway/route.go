@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"sort"
 	"sync"
 
+	"prid/internal/serve"
 	"prid/internal/serve/client"
+	"prid/internal/serve/wire"
 )
 
 // backendOp is one typed call against a single backend's client. The
@@ -16,17 +19,6 @@ import (
 // reflect.DeepEqual, so ops must return plain data (slices, structs of
 // scalars), which every serving endpoint's reply already is.
 type backendOp func(ctx context.Context, cli *client.Client) (any, error)
-
-// routeError is a terminal routing failure carrying the HTTP status the
-// gateway should answer with.
-type routeError struct {
-	status     int
-	retryAfter int // seconds; 0 means no Retry-After header
-	err        error
-}
-
-func (e *routeError) Error() string { return e.err.Error() }
-func (e *routeError) Unwrap() error { return e.err }
 
 // callerFault reports whether err is a definitive 4xx from a backend —
 // the request itself is wrong, every replica would answer identically,
@@ -61,6 +53,12 @@ func (g *Gateway) candidates(key string) []*backend {
 	if len(names) == 0 {
 		names = g.order
 	}
+	return g.healthyFirst(names)
+}
+
+// healthyFirst returns the named backends, healthy ones first, each
+// group in the given order.
+func (g *Gateway) healthyFirst(names []string) []*backend {
 	up := make([]*backend, 0, len(names))
 	var down []*backend
 	for _, n := range names {
@@ -73,14 +71,23 @@ func (g *Gateway) candidates(key string) []*backend {
 	return append(up, down...)
 }
 
-// route executes fn against the replica set for model, first-success or
-// quorum-identical per configuration.
-func (g *Gateway) route(ctx context.Context, model string, fn backendOp) (any, error) {
+// route executes op against the replica set for model, first-success or
+// quorum-identical per configuration, and returns op's typed result.
+func route[T any](ctx context.Context, g *Gateway, model string, op func(context.Context, *client.Client) (T, error)) (T, error) {
+	fn := func(ctx context.Context, cli *client.Client) (any, error) { return op(ctx, cli) }
 	cands := g.candidates(model)
+	var v any
+	var err error
 	if g.cfg.Quorum {
-		return g.routeQuorum(ctx, cands, fn)
+		v, err = g.routeQuorum(ctx, cands, fn)
+	} else {
+		v, err = g.routeFirst(ctx, cands, fn)
 	}
-	return g.routeFirst(ctx, cands, fn)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v.(T), nil
 }
 
 // routeFirst walks the candidates in order and returns the first
@@ -99,7 +106,7 @@ func (g *Gateway) routeFirst(ctx context.Context, cands []*backend, fn backendOp
 			return v, nil
 		}
 		if se, definitive := callerFault(err); definitive {
-			return nil, &routeError{status: se.Code, err: errors.New(se.Message)}
+			return nil, &serve.HTTPError{Status: se.Code, Err: errors.New(se.Message)}
 		}
 		if shed(err) {
 			b.shed.Add(1)
@@ -159,7 +166,7 @@ func (g *Gateway) routeQuorum(ctx context.Context, cands []*backend, fn backendO
 	for _, r := range results {
 		if r.err != nil {
 			if se, definitive := callerFault(r.err); definitive {
-				return nil, &routeError{status: se.Code, err: errors.New(se.Message)}
+				return nil, &serve.HTTPError{Status: se.Code, Err: errors.New(se.Message)}
 			}
 			if !shed(r.err) {
 				allShed = false
@@ -194,8 +201,8 @@ func (g *Gateway) routeQuorum(ctx context.Context, cands []*backend, fn backendO
 		return best.v, nil
 	}
 	if len(groups) > 1 {
-		return nil, &routeError{status: http.StatusBadGateway,
-			err: fmt.Errorf("quorum mismatch: %d distinct answers across %d replicas", len(groups), len(cands))}
+		return nil, &serve.HTTPError{Status: http.StatusBadGateway,
+			Err: fmt.Errorf("quorum mismatch: %d distinct answers across %d replicas", len(groups), len(cands))}
 	}
 	// Reaching here means at most one answer group short of a majority,
 	// so at least one replica errored and lastErr is set.
@@ -210,9 +217,147 @@ func terminal(lastErr error, allShed bool, tried int) error {
 		lastErr = errors.New("no replica answered")
 	}
 	if allShed {
-		return &routeError{status: http.StatusServiceUnavailable, retryAfter: 1,
-			err: fmt.Errorf("all %d replicas shed the request: %w", tried, lastErr)}
+		return &serve.HTTPError{Status: http.StatusServiceUnavailable, RetryAfter: 1,
+			Err: fmt.Errorf("all %d replicas shed the request: %w", tried, lastErr)}
 	}
-	return &routeError{status: http.StatusBadGateway,
-		err: fmt.Errorf("all %d replicas failed: %w", tried, lastErr)}
+	return &serve.HTTPError{Status: http.StatusBadGateway,
+		Err: fmt.Errorf("all %d replicas failed: %w", tried, lastErr)}
+}
+
+// --- the serve.Backend the gateway's edge answers /v1 from -------------
+
+// Predict routes the rows to the model's replica set. The backend gets
+// them in the "inputs" form whichever form the caller used.
+func (g *Gateway) Predict(ctx context.Context, model string, rows [][]float64, _ string) ([]int, error) {
+	return route(ctx, g, model, func(ctx context.Context, cli *client.Client) ([]int, error) {
+		return cli.Predict(ctx, model, rows)
+	})
+}
+
+// simsResult bundles the two-value similarity reply so quorum mode can
+// compare whole answers.
+type simsResult struct {
+	class int
+	sims  []float64
+}
+
+// Similarities routes one similarity probe to the model's replica set.
+func (g *Gateway) Similarities(ctx context.Context, model string, row []float64) (int, []float64, error) {
+	res, err := route(ctx, g, model, func(ctx context.Context, cli *client.Client) (simsResult, error) {
+		class, sims, err := cli.Similarities(ctx, model, row)
+		return simsResult{class, sims}, err
+	})
+	return res.class, res.sims, err
+}
+
+// Reconstruct routes the attack view to the model's replica set.
+func (g *Gateway) Reconstruct(ctx context.Context, model string, query []float64) (wire.Reconstruction, error) {
+	return route(ctx, g, model, func(ctx context.Context, cli *client.Client) (wire.Reconstruction, error) {
+		return cli.Reconstruct(ctx, model, query)
+	})
+}
+
+// AuditLeakage routes the leakage audit to the model's replica set.
+func (g *Gateway) AuditLeakage(ctx context.Context, model string, train, queries [][]float64) (float64, error) {
+	return route(ctx, g, model, func(ctx context.Context, cli *client.Client) (float64, error) {
+		return cli.AuditLeakage(ctx, model, train, queries)
+	})
+}
+
+// Models aggregates the fleet's registries: every backend is asked
+// concurrently, healthy ones first, and the union (by model name) comes
+// back sorted. One success suffices — the fleet serves replicas, not
+// partitions of the model set — but aggregation must see every backend,
+// including one that uniquely holds a model mid-rollout.
+func (g *Gateway) Models(ctx context.Context) ([]wire.ModelInfo, error) {
+	cands := g.healthyFirst(g.order)
+	type result struct {
+		models []wire.ModelInfo
+		err    error
+	}
+	results := make([]result, len(cands))
+	var wg sync.WaitGroup
+	for i, b := range cands {
+		wg.Add(1)
+		go func(i int, b *backend) {
+			defer wg.Done()
+			b.requests.Add(1)
+			m, err := b.cli.Models(ctx)
+			results[i] = result{m, err}
+			if err != nil {
+				if shed(err) {
+					b.shed.Add(1)
+				} else {
+					b.failures.Add(1)
+				}
+			}
+		}(i, b)
+	}
+	wg.Wait()
+	merged := map[string]wire.ModelInfo{}
+	ok := false
+	var lastErr error
+	for _, res := range results {
+		if res.err != nil {
+			lastErr = res.err
+			continue
+		}
+		ok = true
+		for _, m := range res.models {
+			if _, dup := merged[m.Name]; !dup {
+				merged[m.Name] = m
+			}
+		}
+	}
+	if !ok {
+		return nil, terminal(lastErr, false, len(cands))
+	}
+	names := make([]string, 0, len(merged))
+	for name := range merged {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out := make([]wire.ModelInfo, 0, len(names))
+	for _, name := range names {
+		out = append(out, merged[name])
+	}
+	return out, nil
+}
+
+// Reload fans the reload out to the whole configured fleet — including
+// currently-ejected backends, which must not rejoin with stale models.
+// A partial reload leaves the fleet divergent, which would break the
+// bit-identical replica contract, so any failure fails the call loudly
+// (502) rather than reporting the subset that worked.
+func (g *Gateway) Reload(ctx context.Context) (wire.ReloadResponse, error) {
+	type result struct {
+		n   int
+		err error
+	}
+	results := make([]result, len(g.order))
+	var wg sync.WaitGroup
+	for i, url := range g.order {
+		b := g.backends[url]
+		wg.Add(1)
+		go func(i int, b *backend) {
+			defer wg.Done()
+			b.requests.Add(1)
+			n, err := b.cli.Reload(ctx)
+			results[i] = result{n, err}
+			if err != nil {
+				b.failures.Add(1)
+			}
+		}(i, b)
+	}
+	wg.Wait()
+	var out wire.ReloadResponse
+	for i, res := range results {
+		if res.err != nil {
+			return wire.ReloadResponse{}, &serve.HTTPError{Status: http.StatusBadGateway,
+				Err: fmt.Errorf("reload incomplete (fleet may be divergent): backend %s: %w", g.order[i], res.err)}
+		}
+		out.Reloaded += res.n
+		out.Backends++
+	}
+	return out, nil
 }

@@ -67,21 +67,20 @@ var taintSourceTypes = map[string]bool{
 	"prid.BinaryModel":                   true,
 	"prid/internal/attack.Reconstructor": true,
 	"prid/internal/serve/engine.Served":  true,
+	"prid/internal/serve.Backend":        true,
 }
 
 // taintAllowedFuncs are the endpoints whose whole purpose is emitting
-// model-derived data: the attacker/audit HTTP endpoints (serve and
-// their gateway proxies) and the PRIDMDL1/PRIDBIN1 wire savers.
+// model-derived data: the attacker/audit HTTP endpoints (one set,
+// shared by serve and gateway) and the PRIDMDL1/PRIDBIN1 wire savers.
 // Findings inside them are dropped and their parameters never count as
 // sinks for callers — everything else needs a written //pridlint:allow.
 var taintAllowedFuncs = map[string]bool{
-	"(*prid/internal/serve.Server).handleReconstruct":     true,
-	"(*prid/internal/serve.Server).handleAuditLeakage":    true,
-	"(*prid/internal/gateway.Gateway).handleReconstruct":  true,
-	"(*prid/internal/gateway.Gateway).handleAuditLeakage": true,
-	"prid/internal/hdc.WriteModel":                        true,
-	"prid/internal/hdc.WriteBinaryModel":                  true,
-	"prid/internal/hdc.WritePackedBasis":                  true,
+	"(*prid/internal/serve.Edge).handleReconstruct":  true,
+	"(*prid/internal/serve.Edge).handleAuditLeakage": true,
+	"prid/internal/hdc.WriteModel":                   true,
+	"prid/internal/hdc.WriteBinaryModel":             true,
+	"prid/internal/hdc.WritePackedBasis":             true,
 }
 
 // isSourceType reports whether t (through pointers) is one of the

@@ -1,11 +1,13 @@
 // Package client is the stdlib-only Go client for the PRID serving API
-// (internal/serve), built for unreliable networks and servers: capped
-// exponential backoff with deterministic jitter, Retry-After awareness,
-// a circuit breaker, per-attempt deadline propagation, and
-// idempotent-only retry rules. It is the client half of the resilience
-// story the fault-injection framework (internal/faultinject) attacks
-// from the server half — cmd/chaos-smoke drives the two against each
-// other and requires bit-identical predictions to come out.
+// (internal/serve, and internal/gateway in front of a fleet); it sends
+// and decodes the internal/serve/wire types. It is built for unreliable
+// networks and servers: capped exponential backoff with deterministic
+// jitter, Retry-After awareness, a circuit breaker, per-attempt deadline
+// propagation, and idempotent-only retry rules. It is the client half of
+// the resilience story the fault-injection framework
+// (internal/faultinject) attacks from the server half — cmd/chaos-smoke
+// drives the two against each other and requires bit-identical
+// predictions to come out.
 //
 // All the query endpoints (predict, similarities, reconstruct, audit,
 // models, probes) are pure functions of the loaded model and therefore
@@ -29,6 +31,7 @@ import (
 
 	"prid/internal/obs"
 	"prid/internal/rng"
+	"prid/internal/serve/wire"
 )
 
 // maxResponseBytes caps how much of a response body the client reads.
@@ -133,44 +136,17 @@ func New(cfg Config) (*Client, error) {
 
 // --- API surface ------------------------------------------------------
 
-// ModelInfo mirrors the server's /v1/models entry. Generation and
-// Checksum are set only for store-backed models: the snapshot
-// generation the backend actually serves and its payload SHA-256.
-type ModelInfo struct {
-	Name       string    `json:"name"`
-	Path       string    `json:"path,omitempty"`
-	Store      string    `json:"store,omitempty"`
-	Generation uint64    `json:"generation,omitempty"`
-	Checksum   string    `json:"checksum,omitempty"`
-	Mode       string    `json:"mode,omitempty"`
-	Features   int       `json:"features"`
-	Dimension  int       `json:"dimension"`
-	Classes    int       `json:"classes"`
-	LoadedAt   time.Time `json:"loaded_at"`
-}
-
-// Reconstruction mirrors the server's /v1/reconstruct reply.
-type Reconstruction struct {
-	Class      int       `json:"class"`
-	Similarity float64   `json:"similarity"`
-	Data       []float64 `json:"data"`
-}
-
 // Models lists the served registry.
-func (c *Client) Models(ctx context.Context) ([]ModelInfo, error) {
-	var out struct {
-		Models []ModelInfo `json:"models"`
-	}
+func (c *Client) Models(ctx context.Context) ([]wire.ModelInfo, error) {
+	var out wire.ModelsResponse
 	err := c.do(ctx, call{method: http.MethodGet, path: "/v1/models", out: &out, idempotent: true})
 	return out.Models, err
 }
 
 // Predict classifies a batch of feature rows.
 func (c *Client) Predict(ctx context.Context, model string, rows [][]float64) ([]int, error) {
-	var out struct {
-		Predictions []int `json:"predictions"`
-	}
-	in := map[string]any{"model": model, "inputs": rows}
+	var out wire.PredictResponse
+	in := wire.PredictRequest{Model: model, Inputs: rows}
 	if err := c.do(ctx, call{method: http.MethodPost, path: "/v1/predict", in: in, out: &out, idempotent: true}); err != nil {
 		return nil, err
 	}
@@ -182,10 +158,8 @@ func (c *Client) Predict(ctx context.Context, model string, rows [][]float64) ([
 
 // PredictOne classifies a single feature row (the micro-batched path).
 func (c *Client) PredictOne(ctx context.Context, model string, row []float64) (int, error) {
-	var out struct {
-		Predictions []int `json:"predictions"`
-	}
-	in := map[string]any{"model": model, "input": row}
+	var out wire.PredictResponse
+	in := wire.PredictRequest{Model: model, Input: row}
 	if err := c.do(ctx, call{method: http.MethodPost, path: "/v1/predict", in: in, out: &out, idempotent: true}); err != nil {
 		return 0, err
 	}
@@ -197,29 +171,24 @@ func (c *Client) PredictOne(ctx context.Context, model string, row []float64) (i
 
 // Similarities returns the winning class and per-class cosine scores.
 func (c *Client) Similarities(ctx context.Context, model string, row []float64) (int, []float64, error) {
-	var out struct {
-		Class        int       `json:"class"`
-		Similarities []float64 `json:"similarities"`
-	}
-	in := map[string]any{"model": model, "input": row}
+	var out wire.SimilaritiesResponse
+	in := wire.SimilaritiesRequest{Model: model, Input: row}
 	err := c.do(ctx, call{method: http.MethodPost, path: "/v1/similarities", in: in, out: &out, idempotent: true})
 	return out.Class, out.Similarities, err
 }
 
 // Reconstruct mounts the served model-inversion attack view.
-func (c *Client) Reconstruct(ctx context.Context, model string, query []float64) (Reconstruction, error) {
-	var out Reconstruction
-	in := map[string]any{"model": model, "query": query}
+func (c *Client) Reconstruct(ctx context.Context, model string, query []float64) (wire.Reconstruction, error) {
+	var out wire.ReconstructResponse
+	in := wire.ReconstructRequest{Model: model, Query: query}
 	err := c.do(ctx, call{method: http.MethodPost, path: "/v1/reconstruct", in: in, out: &out, idempotent: true})
-	return out, err
+	return out.Reconstruction, err
 }
 
 // AuditLeakage runs the defender self-audit over the given sets.
 func (c *Client) AuditLeakage(ctx context.Context, model string, train, queries [][]float64) (float64, error) {
-	var out struct {
-		Leakage float64 `json:"leakage"`
-	}
-	in := map[string]any{"model": model, "train": train, "queries": queries}
+	var out wire.AuditResponse
+	in := wire.AuditRequest{Model: model, Train: train, Queries: queries}
 	err := c.do(ctx, call{method: http.MethodPost, path: "/v1/audit/leakage", in: in, out: &out, idempotent: true})
 	return out.Leakage, err
 }
@@ -228,9 +197,7 @@ func (c *Client) AuditLeakage(ctx context.Context, model string, train, queries 
 // server state and is therefore attempted exactly once — no retries —
 // per the idempotent-only retry rule.
 func (c *Client) Reload(ctx context.Context) (int, error) {
-	var out struct {
-		Reloaded int `json:"reloaded"`
-	}
+	var out wire.ReloadResponse
 	err := c.do(ctx, call{method: http.MethodPost, path: "/v1/models/reload", out: &out, idempotent: false})
 	return out.Reloaded, err
 }
@@ -426,9 +393,7 @@ func (c *Client) once(ctx context.Context, op call) error {
 	}
 	if resp.StatusCode != http.StatusOK {
 		se := &StatusError{Code: resp.StatusCode, RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"))}
-		var envelope struct {
-			Error string `json:"error"`
-		}
+		var envelope wire.ErrorResponse
 		if json.Unmarshal(raw, &envelope) == nil && envelope.Error != "" {
 			se.Message = envelope.Error
 		} else {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"path/filepath"
 	"testing"
+
+	"prid/internal/serve/wire"
 )
 
 // TestRegistryBinaryModeListingAndRouting: a binary entry lists
@@ -22,7 +24,7 @@ func TestRegistryBinaryModeListingAndRouting(t *testing.T) {
 	if len(infos) != 2 {
 		t.Fatalf("listed %d models, want 2", len(infos))
 	}
-	byName := map[string]ModelInfo{}
+	byName := map[string]wire.ModelInfo{}
 	for _, info := range infos {
 		byName[info.Name] = info
 	}
@@ -158,7 +160,7 @@ func TestEngineBinaryRefusesAttackSurface(t *testing.T) {
 			t.Fatalf("query %d: engine %d, in-process %d", i, got[i], want[i])
 		}
 	}
-	class, sims, err := eng.Similarities("bin", queries[0])
+	class, sims, err := eng.Similarities(context.Background(), "bin", queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +169,10 @@ func TestEngineBinaryRefusesAttackSurface(t *testing.T) {
 			class, len(sims), want[0], bm.Classes())
 	}
 
-	if _, err := eng.Reconstruct("bin", queries[0]); KindOf(err) != KindInvalid {
+	if _, err := eng.Reconstruct(context.Background(), "bin", queries[0]); KindOf(err) != KindInvalid {
 		t.Fatalf("reconstruct against binary model: err %v kind %d, want KindInvalid", err, KindOf(err))
 	}
-	if _, err := eng.AuditLeakage("bin", x, queries); KindOf(err) != KindInvalid {
+	if _, err := eng.AuditLeakage(context.Background(), "bin", x, queries); KindOf(err) != KindInvalid {
 		t.Fatalf("leakage audit against binary model: err %v kind %d, want KindInvalid", err, KindOf(err))
 	}
 	if _, err := (&Entry{}).Attacker(); err == nil {

@@ -1,15 +1,13 @@
 // Package engine is the transport-agnostic core of the PRID serving
 // stack: the hot-reloadable model registry, the predict micro-batcher,
 // and the typed domain operations (predict, similarities, reconstruct,
-// leakage audit, model listing, reload) that every serving front end
-// adapts to its own wire format.
+// leakage audit, model listing, reload).
 //
-// This is the ports-and-adapters split of the original internal/serve:
-// the Engine is the port, internal/serve's HTTP server is one adapter
-// (JSON over HTTP against a local engine), and internal/gateway is
-// another (the same surface fanned out across a fleet of remote
-// backends). Errors carry a Kind so adapters can map domain failures to
-// their transport's status space without string matching.
+// An *Engine is the local implementation of internal/serve's Backend
+// interface: `prid serve` answers /v1 from one, and internal/gateway
+// implements the same interface over a ring of remote backends. Errors
+// carry a Kind so the HTTP edge can map domain failures to statuses
+// without string matching.
 //
 // The package is stdlib-only, like the rest of the module.
 package engine
@@ -21,8 +19,8 @@ import (
 	"math"
 	"time"
 
-	"prid"
 	"prid/internal/obs"
+	"prid/internal/serve/wire"
 )
 
 // Kind classifies an engine error for transport adapters: which party
@@ -116,12 +114,12 @@ func (e *Engine) Registry() *Registry { return e.reg }
 func (e *Engine) Close() { e.reg.Close() }
 
 // Models lists the served registry, sorted by name.
-func (e *Engine) Models() []ModelInfo { return e.reg.List() }
+func (e *Engine) Models(_ context.Context) ([]wire.ModelInfo, error) { return e.reg.List(), nil }
 
 // Reload re-reads every file-backed model from disk.
-func (e *Engine) Reload() (int, error) {
+func (e *Engine) Reload(_ context.Context) (wire.ReloadResponse, error) {
 	n, err := e.reg.Reload()
-	return n, errOf(KindInternal, err)
+	return wire.ReloadResponse{Reloaded: n}, errOf(KindInternal, err)
 }
 
 // lookup resolves the named model with classified errors.
@@ -220,7 +218,7 @@ func (e *Engine) predictBatched(ctx context.Context, ent *Entry, rows [][]float6
 
 // Similarities returns the winning class and per-class cosine scores
 // for one row.
-func (e *Engine) Similarities(model string, row []float64) (int, []float64, error) {
+func (e *Engine) Similarities(_ context.Context, model string, row []float64) (int, []float64, error) {
 	ent, err := e.lookup(model)
 	if err != nil {
 		return 0, nil, err
@@ -244,40 +242,40 @@ func (e *Engine) Similarities(model string, row []float64) (int, []float64, erro
 // Reconstruct mounts the PRID combined model-inversion attack against
 // the named model using nothing a query client would not hold. Its
 // existence is the point — a deployed HDC model answers this.
-func (e *Engine) Reconstruct(model string, query []float64) (prid.Reconstruction, error) {
+func (e *Engine) Reconstruct(_ context.Context, model string, query []float64) (wire.Reconstruction, error) {
 	ent, err := e.lookup(model)
 	if err != nil {
-		return prid.Reconstruction{}, err
+		return wire.Reconstruction{}, err
 	}
 	// Binary entries hold only sign bits — the information reconstruction
 	// needs is exactly what the 1-bit packing destroyed. Refuse with a
 	// caller error pointing at the float generation.
 	if ent.Model() == nil {
-		return prid.Reconstruction{}, errOf(KindInvalid,
+		return wire.Reconstruction{}, errOf(KindInvalid,
 			fmt.Errorf("model %q is served in binary mode; reconstruct requires a float-mode model", model))
 	}
 	// Same non-finite guard as the predict path: a NaN/Inf query would
 	// otherwise propagate through every masked-similarity probe of the
 	// reconstruction loop instead of failing at the boundary.
 	if err := CheckFiniteRow(query, "query"); err != nil {
-		return prid.Reconstruction{}, errOf(KindInvalid, err)
+		return wire.Reconstruction{}, errOf(KindInvalid, err)
 	}
 	a, err := ent.Attacker()
 	if err != nil {
-		return prid.Reconstruction{}, errOf(KindInternal, err)
+		return wire.Reconstruction{}, errOf(KindInternal, err)
 	}
 	recon, err := a.Reconstruct(query)
 	if err != nil {
-		return prid.Reconstruction{}, errOf(KindInvalid, err)
+		return wire.Reconstruction{}, errOf(KindInvalid, err)
 	}
-	return recon, nil
+	return wire.Reconstruction{Class: recon.Class, Similarity: recon.Similarity, Data: recon.Data}, nil
 }
 
 // AuditLeakage is the defender-side self-audit: given the training set
 // and probe queries, it measures the mean information leakage Δ an
 // attacker holding query access to this model would extract — the
 // paper's metric, behind the same boundary the attack uses.
-func (e *Engine) AuditLeakage(model string, train, queries [][]float64) (float64, error) {
+func (e *Engine) AuditLeakage(_ context.Context, model string, train, queries [][]float64) (float64, error) {
 	ent, err := e.lookup(model)
 	if err != nil {
 		return 0, err

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"prid"
+	"prid/internal/serve/wire"
 	"prid/internal/store"
 )
 
@@ -15,24 +16,6 @@ import (
 // path. The zero mode ("") is the float cosine path, kept empty on the
 // wire so pre-binary clients see an unchanged listing.
 const ModeBinary = "binary"
-
-// ModelInfo is the public shape of one registry entry, what GET
-// /v1/models returns on every serving front end. Store-backed entries
-// additionally carry the served generation and its payload checksum —
-// the provenance a fleet operator (or the crash-smoke gate) reads to
-// verify which snapshot a backend actually serves after a crash.
-type ModelInfo struct {
-	Name       string    `json:"name"`
-	Path       string    `json:"path,omitempty"`
-	Store      string    `json:"store,omitempty"`
-	Generation uint64    `json:"generation,omitempty"`
-	Checksum   string    `json:"checksum,omitempty"`
-	Mode       string    `json:"mode,omitempty"`
-	Features   int       `json:"features"`
-	Dimension  int       `json:"dimension"`
-	Classes    int       `json:"classes"`
-	LoadedAt   time.Time `json:"loaded_at"`
-}
 
 // Served is the inference surface a registry entry routes requests to,
 // implemented by both *prid.Model (float cosine) and *prid.BinaryModel
@@ -51,7 +34,7 @@ type Served interface {
 // attacker (the attacker decodes every class hypervector up front, which
 // is wasted work for models never probed through /v1/reconstruct).
 type Entry struct {
-	info   ModelInfo
+	info   wire.ModelInfo
 	served Served
 	// model is the float form; nil for binary entries (the packing
 	// destroyed what Reconstruct/AuditLeakage need — that's the defense).
@@ -67,7 +50,7 @@ type Entry struct {
 }
 
 // Info returns the entry's listing metadata.
-func (e *Entry) Info() ModelInfo { return e.info }
+func (e *Entry) Info() wire.ModelInfo { return e.info }
 
 // Model returns the loaded float model, or nil for binary entries.
 func (e *Entry) Model() *prid.Model { return e.model }
@@ -118,7 +101,7 @@ func NewRegistry(mk func(m Served) *Batcher) *Registry {
 // that name is replaced atomically; its batcher drains and closes.
 func (r *Registry) Register(name, path string, model *prid.Model) {
 	r.install(&Entry{
-		info: ModelInfo{
+		info: wire.ModelInfo{
 			Name:      name,
 			Path:      path,
 			Features:  model.Features(),
@@ -136,7 +119,7 @@ func (r *Registry) Register(name, path string, model *prid.Model) {
 // and leakage audits are refused (the float hypervectors are gone).
 func (r *Registry) RegisterBinary(name, path string, model *prid.BinaryModel) {
 	r.install(&Entry{
-		info: ModelInfo{
+		info: wire.ModelInfo{
 			Name:      name,
 			Path:      path,
 			Mode:      ModeBinary,
@@ -160,7 +143,7 @@ func (r *Registry) install(e *Entry) {
 	if old != nil {
 		old.batch.Close()
 	}
-	//pridlint:allow leaksurface logs ModelInfo metadata (name, path, shape) only; class rows never pass through ModelInfo
+	//pridlint:allow leaksurface logs wire.ModelInfo metadata (name, path, shape) only; class rows never pass through wire.ModelInfo
 	logger.Info("model registered", "name", e.info.Name, "path", e.info.Path,
 		"store", e.info.Store, "generation", e.info.Generation, "mode", e.info.Mode,
 		"features", e.info.Features, "dim", e.info.Dimension, "classes", e.info.Classes)
@@ -220,7 +203,7 @@ func storeEntry(name string, st *store.Store, meta store.Meta, served Served, fm
 		mode = ModeBinary
 	}
 	return &Entry{
-		info: ModelInfo{
+		info: wire.ModelInfo{
 			Name:       name,
 			Store:      st.Dir(),
 			Generation: meta.Generation,
@@ -316,9 +299,9 @@ func (r *Registry) Get(name string) (*Entry, bool) {
 }
 
 // List returns every entry's info, sorted by name.
-func (r *Registry) List() []ModelInfo {
+func (r *Registry) List() []wire.ModelInfo {
 	r.mu.RLock()
-	infos := make([]ModelInfo, 0, len(r.entries))
+	infos := make([]wire.ModelInfo, 0, len(r.entries))
 	for _, e := range r.entries {
 		infos = append(infos, e.info)
 	}

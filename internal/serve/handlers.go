@@ -7,37 +7,35 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 
 	"prid/internal/obs"
 	"prid/internal/serve/engine"
+	"prid/internal/serve/wire"
 )
 
 // maxBodyBytes caps request bodies (64 MB): audit requests legitimately
 // carry train sets, everything else is far smaller.
 const maxBodyBytes = 1 << 26
 
-// apiError is the JSON error envelope every endpoint uses. RequestID
-// carries the request's X-Request-ID so a failure in a client log, a
-// chaos-smoke transcript, or a loadgen report can be matched to the
-// server-side slog line and /debug/requests trace for the same request.
-type apiError struct {
-	Error     string `json:"error"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
-// writeError emits the JSON error envelope with the given status and
-// returns err so handlers can `return writeError(...)` in one line.
-func writeError(w http.ResponseWriter, r *http.Request, status int, err error) error {
+// WriteError emits the JSON error envelope with the given status and
+// returns err so handlers can `return WriteError(...)` in one line. The
+// gateway's own readiness probe answers with it too.
+func WriteError(w http.ResponseWriter, r *http.Request, status int, err error) error {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	body := apiError{Error: err.Error(), RequestID: obs.ReqTraceFrom(r.Context()).ID()}
+	body := wire.ErrorResponse{Error: err.Error(), RequestID: obs.ReqTraceFrom(r.Context()).ID()}
 	json.NewEncoder(w).Encode(body) //pridlint:allow errdrop the status line is already committed; the returned err IS the response
 	return err
 }
 
-// statusOf maps an engine error classification to its HTTP status — the
-// adapter half of the engine's Kind contract.
+// statusOf is the edge's one error rule: an error that names its HTTP
+// status keeps it, and any other error maps by its engine kind.
 func statusOf(err error) int {
+	var he *HTTPError
+	if errors.As(err, &he) {
+		return he.Status
+	}
 	switch engine.KindOf(err) {
 	case engine.KindInvalid:
 		return http.StatusBadRequest
@@ -50,29 +48,30 @@ func statusOf(err error) int {
 	}
 }
 
-// writeEngineError is writeError with the status derived from the
-// engine's error kind.
-func writeEngineError(w http.ResponseWriter, r *http.Request, err error) error {
-	return writeError(w, r, statusOf(err), err)
-}
-
-// writeJSON emits a 200 with the JSON body, marking the end of the
-// request's service stage first so the trace splits handler compute from
-// response serialization.
-func writeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	obs.ReqTraceFrom(r.Context()).Mark(stageService)
+// reply answers a Backend call: it marks the end of the call's trace
+// stage, then writes err under its status (plus any Retry-After hint it
+// carries) or v as the 200 JSON body.
+func (e *Edge) reply(w http.ResponseWriter, r *http.Request, v any, err error) error {
+	obs.ReqTraceFrom(r.Context()).Mark(e.stage)
+	if err != nil {
+		var he *HTTPError
+		if errors.As(err, &he) && he.RetryAfter > 0 {
+			w.Header().Set("Retry-After", strconv.Itoa(he.RetryAfter))
+		}
+		return WriteError(w, r, statusOf(err), err)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	return json.NewEncoder(w).Encode(v)
 }
 
-// decodeBody parses the request body into v, distinguishing malformed
-// JSON (a 400) from transport errors.
+// decodeBody parses the request body into v, answering malformed JSON
+// with a 400 itself.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("malformed request body: %w", err)
+		return WriteError(w, r, http.StatusBadRequest, fmt.Errorf("malformed request body: %w", err))
 	}
 	return nil
 }
@@ -81,7 +80,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 func requireMethod(w http.ResponseWriter, r *http.Request, method string) error {
 	if r.Method != method {
 		w.Header().Set("Allow", method)
-		return writeError(w, r, http.StatusMethodNotAllowed,
+		return WriteError(w, r, http.StatusMethodNotAllowed,
 			fmt.Errorf("%s requires %s, got %s", r.URL.Path, method, r.Method))
 	}
 	return nil
@@ -89,168 +88,77 @@ func requireMethod(w http.ResponseWriter, r *http.Request, method string) error 
 
 // --- GET /v1/models ---------------------------------------------------
 
-type modelsResponse struct {
-	Models []ModelInfo `json:"models"`
-}
-
-func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) error {
-	if err := requireMethod(w, r, http.MethodGet); err != nil {
-		return err
-	}
-	return writeJSON(w, r, modelsResponse{Models: s.eng.Models()})
+func (e *Edge) handleModels(w http.ResponseWriter, r *http.Request) error {
+	models, err := e.backend.Models(r.Context())
+	//pridlint:allow leaksurface ModelInfo is listing metadata (name, path, shape, provenance); class rows never pass through it
+	return e.reply(w, r, wire.ModelsResponse{Models: models}, err)
 }
 
 // --- POST /v1/models/reload -------------------------------------------
 
-type reloadResponse struct {
-	Reloaded int `json:"reloaded"`
-}
-
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) error {
-	if err := requireMethod(w, r, http.MethodPost); err != nil {
-		return err
-	}
-	n, err := s.eng.Reload()
-	if err != nil {
-		return writeEngineError(w, r, err)
-	}
-	return writeJSON(w, r, reloadResponse{Reloaded: n})
+func (e *Edge) handleReload(w http.ResponseWriter, r *http.Request) error {
+	out, err := e.backend.Reload(r.Context())
+	//pridlint:allow leaksurface the reply is two counts (models reloaded, backends that applied it), nothing model-derived
+	return e.reply(w, r, out, err)
 }
 
 // --- POST /v1/predict -------------------------------------------------
 
-type predictRequest struct {
-	Model string `json:"model"`
-	// Inputs is the general batch form; Input is the single-row
-	// convenience. Exactly one must be set.
-	Inputs [][]float64 `json:"inputs,omitempty"`
-	Input  []float64   `json:"input,omitempty"`
-}
-
-type predictResponse struct {
-	Model       string `json:"model"`
-	Predictions []int  `json:"predictions"`
-}
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) error {
-	if err := requireMethod(w, r, http.MethodPost); err != nil {
+func (e *Edge) handlePredict(w http.ResponseWriter, r *http.Request) error {
+	var req wire.PredictRequest
+	if err := decodeBody(w, r, &req); err != nil {
 		return err
 	}
-	var req predictRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		return writeError(w, r, http.StatusBadRequest, err)
-	}
 	if (len(req.Inputs) == 0) == (len(req.Input) == 0) {
-		return writeError(w, r, http.StatusBadRequest,
+		return WriteError(w, r, http.StatusBadRequest,
 			errors.New(`exactly one of "input" and "inputs" must be set`))
 	}
 	rows, field := req.Inputs, "inputs"
 	if len(rows) == 0 {
 		rows, field = [][]float64{req.Input}, "input"
 	}
-	classes, err := s.eng.Predict(r.Context(), req.Model, rows, field)
-	if err != nil {
-		return writeEngineError(w, r, err)
-	}
-	return writeJSON(w, r, predictResponse{Model: req.Model, Predictions: classes})
+	classes, err := e.backend.Predict(r.Context(), req.Model, rows, field)
+	return e.reply(w, r, wire.PredictResponse{Model: req.Model, Predictions: classes}, err)
 }
 
 // --- POST /v1/similarities --------------------------------------------
 
-type similaritiesRequest struct {
-	Model string    `json:"model"`
-	Input []float64 `json:"input"`
-}
-
-type similaritiesResponse struct {
-	Model        string    `json:"model"`
-	Class        int       `json:"class"`
-	Similarities []float64 `json:"similarities"`
-}
-
-func (s *Server) handleSimilarities(w http.ResponseWriter, r *http.Request) error {
-	if err := requireMethod(w, r, http.MethodPost); err != nil {
+func (e *Edge) handleSimilarities(w http.ResponseWriter, r *http.Request) error {
+	var req wire.SimilaritiesRequest
+	if err := decodeBody(w, r, &req); err != nil {
 		return err
 	}
-	var req similaritiesRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		return writeError(w, r, http.StatusBadRequest, err)
-	}
-	class, sims, err := s.eng.Similarities(req.Model, req.Input)
-	if err != nil {
-		return writeEngineError(w, r, err)
-	}
+	class, sims, err := e.backend.Similarities(r.Context(), req.Model, req.Input)
 	//pridlint:allow leaksurface /v1/similarities is the paper's query oracle: full-resolution scores are the deliberate attack surface PRID measures
-	return writeJSON(w, r, similaritiesResponse{Model: req.Model, Class: class, Similarities: sims})
+	return e.reply(w, r, wire.SimilaritiesResponse{Model: req.Model, Class: class, Similarities: sims}, err)
 }
 
 // --- POST /v1/reconstruct ---------------------------------------------
 
-type reconstructRequest struct {
-	Model string    `json:"model"`
-	Query []float64 `json:"query"`
-}
-
-type reconstructResponse struct {
-	Model      string    `json:"model"`
-	Class      int       `json:"class"`
-	Similarity float64   `json:"similarity"`
-	Data       []float64 `json:"data"`
-}
-
 // handleReconstruct is the attacker's view of the serving boundary: the
-// engine mounts the PRID combined model-inversion attack against the
+// backend mounts the PRID combined model-inversion attack against the
 // named model using nothing a query client would not hold.
-func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) error {
-	if err := requireMethod(w, r, http.MethodPost); err != nil {
+func (e *Edge) handleReconstruct(w http.ResponseWriter, r *http.Request) error {
+	var req wire.ReconstructRequest
+	if err := decodeBody(w, r, &req); err != nil {
 		return err
 	}
-	var req reconstructRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		return writeError(w, r, http.StatusBadRequest, err)
-	}
-	recon, err := s.eng.Reconstruct(req.Model, req.Query)
-	if err != nil {
-		return writeEngineError(w, r, err)
-	}
-	return writeJSON(w, r, reconstructResponse{
-		Model:      req.Model,
-		Class:      recon.Class,
-		Similarity: recon.Similarity,
-		Data:       recon.Data,
-	})
+	recon, err := e.backend.Reconstruct(r.Context(), req.Model, req.Query)
+	return e.reply(w, r, wire.ReconstructResponse{Model: req.Model, Reconstruction: recon}, err)
 }
 
 // --- POST /v1/audit/leakage -------------------------------------------
 
-type auditRequest struct {
-	Model   string      `json:"model"`
-	Train   [][]float64 `json:"train"`
-	Queries [][]float64 `json:"queries"`
-}
-
-type auditResponse struct {
-	Model   string  `json:"model"`
-	Leakage float64 `json:"leakage"`
-	Queries int     `json:"queries"`
-}
-
 // handleAuditLeakage is the defender-side self-audit: the paper's mean
 // information leakage Δ, measured behind the same boundary the attack
 // uses.
-func (s *Server) handleAuditLeakage(w http.ResponseWriter, r *http.Request) error {
-	if err := requireMethod(w, r, http.MethodPost); err != nil {
+func (e *Edge) handleAuditLeakage(w http.ResponseWriter, r *http.Request) error {
+	var req wire.AuditRequest
+	if err := decodeBody(w, r, &req); err != nil {
 		return err
 	}
-	var req auditRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		return writeError(w, r, http.StatusBadRequest, err)
-	}
-	leak, err := s.eng.AuditLeakage(req.Model, req.Train, req.Queries)
-	if err != nil {
-		return writeEngineError(w, r, err)
-	}
-	return writeJSON(w, r, auditResponse{Model: req.Model, Leakage: leak, Queries: len(req.Queries)})
+	leak, err := e.backend.AuditLeakage(r.Context(), req.Model, req.Train, req.Queries)
+	return e.reply(w, r, wire.AuditResponse{Model: req.Model, Leakage: leak, Queries: len(req.Queries)}, err)
 }
 
 // --- debug ------------------------------------------------------------
@@ -268,12 +176,12 @@ func registerDebug(mux *http.ServeMux) {
 
 // handleDebugRequests serves the bounded ring of slowest request traces
 // as JSON: request ID, endpoint, total latency, and the per-stage
-// breakdown (admission wait, batch queue wait, service, write). It is
-// mounted beside /debug/vars — the per-request view the aggregate
-// histograms cannot give.
-func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
+// breakdown (admission wait, batch queue wait or backend hop, service,
+// write). It is mounted beside /debug/vars — the per-request view the
+// aggregate histograms cannot give.
+func (e *Edge) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(s.slow.Snapshot()) //pridlint:allow errdrop debug readout; a write failure has no in-band recovery
+	enc.Encode(e.slow.Snapshot()) //pridlint:allow errdrop debug readout; a write failure has no in-band recovery
 }

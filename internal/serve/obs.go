@@ -6,60 +6,54 @@ import (
 	"prid/internal/obs"
 )
 
-// Metric handles are resolved once at package init per the obs hot-path
-// discipline: request accounting is a few atomic adds, no map lookups.
-// The batch and reload metrics moved to internal/serve/engine with the
-// code that records them; the serve.* names are unchanged.
-var (
-	logger = obs.Logger("serve")
+// logger is the engine-backed server's component logger; an Edge logs
+// under its own metric prefix.
+var logger = obs.Logger("serve")
 
-	// Per-endpoint request counters and latency histograms, keyed by the
-	// short endpoint name ("predict", "similarities", ...).
-	metricRequests = map[string]*obs.Counter{}
-	metricErrors   = map[string]*obs.Counter{}
-	metricSeconds  = map[string]*obs.Histogram{}
+// endpointMetrics are one /v1 endpoint's handles, resolved once when the
+// edge is built per the obs hot-path discipline: request accounting is a
+// few atomic adds, no lookups by name. Names are
+// "<prefix>.<endpoint>.<metric>"; reload shares "models".
+type endpointMetrics struct {
+	requests *obs.Counter
+	errors   *obs.Counter
+	seconds  *obs.Histogram
+	// shed counts tiered load-shedding rejections (capacity rejections
+	// land in the edge's rejected counter); nil on an edge that sheds
+	// nothing.
+	shed *obs.Counter
+}
 
-	// Admission control and resilience. metricShed counts tiered
-	// load-shedding rejections per endpoint (capacity rejections land in
-	// metricRejected); metricPanics counts handler panics the recovery
-	// middleware converted into 500s.
-	metricInFlight = obs.GetGauge("serve.inflight")
-	metricRejected = obs.GetCounter("serve.rejected")
-	metricPanics   = obs.GetCounter("serve.panics")
-	metricShed     = map[string]*obs.Counter{}
-	// metricServeFailures counts accept-loop exits that were not a
-	// requested shutdown — a process that is up but no longer serving.
-	metricServeFailures = obs.GetCounter("serve.loop_failures")
-)
+func newEndpointMetrics(prefix, name string, shedding bool) *endpointMetrics {
+	base := prefix + "." + name + "."
+	m := &endpointMetrics{
+		requests: obs.GetCounter(base + "requests"),
+		errors:   obs.GetCounter(base + "errors"),
+		seconds:  obs.GetHistogram(base+"seconds", nil),
+	}
+	if shedding {
+		m.shed = obs.GetCounter(base + "shed")
+	}
+	return m
+}
 
-// endpointNames is the fixed roster the maps above are populated for.
-var endpointNames = []string{"models", "predict", "similarities", "reconstruct", "audit"}
-
-func init() {
-	for _, name := range endpointNames {
-		metricRequests[name] = obs.GetCounter("serve." + name + ".requests")
-		metricErrors[name] = obs.GetCounter("serve." + name + ".errors")
-		metricSeconds[name] = obs.GetHistogram("serve."+name+".seconds", nil)
-		metricShed[name] = obs.GetCounter("serve." + name + ".shed")
+// observe records one completed request.
+func (m *endpointMetrics) observe(start time.Time, failed bool) {
+	m.requests.Inc()
+	m.seconds.ObserveSince(start)
+	if failed {
+		m.errors.Inc()
 	}
 }
 
-// Transport-owned stage names of the request trace. The engine marks its
-// own stages (batch queue wait, predict) between these; each Mark
-// records the END of the named stage, so the /debug/requests breakdown
-// reads as consecutive deltas: admission wait, micro-batch queue wait,
-// predict execution, handler service, response write.
+// Edge-owned stage names of the request trace. The backend marks its
+// own stages between these (the engine's batch queue wait and predict),
+// and the edge marks its configured stage — "service" locally, "proxy"
+// at the gateway — when the backend call returns. Each Mark records the
+// END of the named stage, so the /debug/requests breakdown reads as
+// consecutive deltas.
 const (
 	stageAdmitted = "admitted"
 	stageService  = "service"
 	stageWrite    = "write"
 )
-
-// observeRequest records one completed request on endpoint name.
-func observeRequest(name string, start time.Time, failed bool) {
-	metricRequests[name].Inc()
-	metricSeconds[name].ObserveSince(start)
-	if failed {
-		metricErrors[name].Inc()
-	}
-}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"prid/internal/obs"
+	"prid/internal/serve/wire"
 )
 
 // TestRequestIDAssignedAndEchoed pins the X-Request-ID contract: a
@@ -62,7 +63,7 @@ func TestRequestIDAssignedAndEchoed(t *testing.T) {
 	if resp.StatusCode == http.StatusOK {
 		t.Fatalf("empty-body predict returned 200: %s", body)
 	}
-	var e apiError
+	var e wire.ErrorResponse
 	if err := json.Unmarshal(body, &e); err != nil {
 		t.Fatalf("error body %q is not the envelope: %v", body, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 
 	"prid/internal/obs"
 )
@@ -30,23 +31,24 @@ func retryAfterSeconds(depth, capacity int) int {
 	return sec
 }
 
-// shedFractions ranks endpoints by how early they degrade under load.
-// The expensive analysis endpoints go first so /v1/predict — the paper's
-// query-access hot path — keeps the full admission budget: the leakage
-// audit sheds at half capacity, the attack view at three quarters,
-// similarity probes at 90%. Everything absent here is rejected only by
-// the semaphore itself.
+// shedFractions ranks endpoints by how early `prid serve` degrades them
+// under load. The expensive analysis endpoints go first so /v1/predict —
+// the paper's query-access hot path — keeps the full admission budget:
+// the leakage audit sheds at half capacity, the attack view at three
+// quarters, similarity probes at 90%. Everything absent here is rejected
+// only by the semaphore itself. The gateway passes no table: its
+// backends shed for themselves.
 var shedFractions = map[string]float64{
 	"audit":        0.50,
 	"reconstruct":  0.75,
 	"similarities": 0.90,
 }
 
-// shedThreshold returns the in-flight depth at which the named endpoint
-// starts shedding (== max means only full capacity rejects).
-func shedThreshold(name string, max int) int {
-	f, ok := shedFractions[name]
-	if !ok {
+// shedThreshold returns the in-flight depth at which an endpoint with
+// shed fraction f starts shedding (== max, for an endpoint without a
+// positive fraction, means only full capacity rejects).
+func shedThreshold(f float64, max int) int {
+	if f <= 0 {
 		return max
 	}
 	th := int(math.Ceil(f * float64(max)))
@@ -63,16 +65,16 @@ func shedThreshold(name string, max int) int {
 // in the endpoint's request/error counters plus the shed-or-rejected
 // counter. The error body carries the request ID assigned upstream, so a
 // shed request stays correlatable in client logs.
-func (s *Server) reject(w http.ResponseWriter, r *http.Request, name string, depth int, shed bool, err error) {
+func (e *Edge) reject(w http.ResponseWriter, r *http.Request, m *endpointMetrics, depth int, shed bool, err error) {
 	if shed {
-		metricShed[name].Inc()
+		m.shed.Inc()
 	} else {
-		metricRejected.Inc()
+		e.metricRejected.Inc()
 	}
-	metricRequests[name].Inc()
-	metricErrors[name].Inc()
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds(depth, s.cfg.MaxInFlight)))
-	writeError(w, r, http.StatusServiceUnavailable, err) //pridlint:allow errdrop response already committed; the rejection itself is the signal
+	m.requests.Inc()
+	m.errors.Inc()
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(depth, e.cfg.MaxInFlight)))
+	WriteError(w, r, http.StatusServiceUnavailable, err) //pridlint:allow errdrop response already committed; the rejection itself is the signal
 }
 
 // recovery converts a handler panic into a 500 JSON error so one
@@ -81,46 +83,21 @@ func (s *Server) reject(w http.ResponseWriter, r *http.Request, name string, dep
 // sanctioned way to drop a connection (the fault injector's Drop fault
 // and the truncation abort both use it) and must keep its net/http
 // semantics.
-func (s *Server) recovery(name string, next http.Handler) http.Handler {
+func (e *Edge) recovery(name string, m *endpointMetrics, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if p := recover(); p != nil {
 				if err, ok := p.(error); ok && errors.Is(err, http.ErrAbortHandler) {
 					panic(p)
 				}
-				metricPanics.Inc()
-				metricErrors[name].Inc()
-				logger.Error("handler panic recovered", "endpoint", name,
+				e.metricPanics.Inc()
+				m.errors.Inc()
+				e.log.Error("handler panic recovered", "endpoint", name,
 					"req_id", obs.ReqTraceFrom(r.Context()).ID(), "panic", p)
-				writeError(w, r, http.StatusInternalServerError, //pridlint:allow errdrop response already committed; the panic is already logged and counted
+				WriteError(w, r, http.StatusInternalServerError, //pridlint:allow errdrop response already committed; the panic is already logged and counted
 					fmt.Errorf("internal error: recovered from panic: %v", p))
 			}
 		}()
 		next.ServeHTTP(w, r)
 	})
-}
-
-// handleReady is the orchestration-facing readiness probe, distinct from
-// the /healthz liveness probe: a live process is not ready to take
-// traffic before any model is loaded, and stops being ready the moment a
-// drain begins — exactly the windows where a balancer must route around
-// it even though the process is healthy.
-func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case s.draining.Load():
-		writeError(w, r, http.StatusServiceUnavailable, errors.New("draining")) //pridlint:allow errdrop probe response; the balancer only reads the status code
-	case s.reg.Len() == 0:
-		writeError(w, r, http.StatusServiceUnavailable, errors.New("no models loaded")) //pridlint:allow errdrop probe response; the balancer only reads the status code
-	default:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "ready %d models\n", s.reg.Len()) //pridlint:allow errdrop probe response; a write failure has no in-band recovery
-		// Store-backed models append their served generation and payload
-		// checksum — the one-line provenance a fleet operator scrapes to
-		// confirm which snapshot each backend recovered to after a crash.
-		for _, info := range s.reg.List() {
-			if info.Generation > 0 {
-				fmt.Fprintf(w, "model %s generation %d sha256 %s\n", info.Name, info.Generation, info.Checksum) //pridlint:allow errdrop probe response; a write failure has no in-band recovery
-			}
-		}
-	}
 }

@@ -11,6 +11,7 @@ import (
 	"prid/internal/faultinject"
 	"prid/internal/obs"
 	"prid/internal/serve/engine"
+	"prid/internal/serve/wire"
 )
 
 func TestRetryAfterSeconds(t *testing.T) {
@@ -41,9 +42,9 @@ func TestAdaptiveRetryAfterSaturated(t *testing.T) {
 	s, base := testServer(t, Config{MaxInFlight: 2})
 	// Saturate the semaphore directly — both slots taken, no handler
 	// running, so the rejection path is the only thing under test.
-	s.sem <- struct{}{}
-	s.sem <- struct{}{}
-	defer func() { <-s.sem; <-s.sem }()
+	s.edge.sem <- struct{}{}
+	s.edge.sem <- struct{}{}
+	defer func() { <-s.edge.sem; <-s.edge.sem }()
 
 	resp, body := postJSON(t, base+"/v1/predict", map[string]any{"model": "alpha", "input": []float64{0.1}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -69,7 +70,7 @@ func TestPanicRecoveryKeepsServing(t *testing.T) {
 		if resp.StatusCode != http.StatusInternalServerError {
 			t.Fatalf("panicking predict: status %d (%s), want 500", resp.StatusCode, body)
 		}
-		var e apiError
+		var e wire.ErrorResponse
 		if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "panic") {
 			t.Fatalf("panicking predict body %q is not the panic error envelope", body)
 		}
@@ -84,8 +85,8 @@ func TestPanicRecoveryKeepsServing(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("similarities after panics: status %d (%s), want 200", resp.StatusCode, body)
 	}
-	if s.reg.Len() != 2 {
-		t.Fatalf("registry lost entries across panics: %d", s.reg.Len())
+	if s.Registry().Len() != 2 {
+		t.Fatalf("registry lost entries across panics: %d", s.Registry().Len())
 	}
 }
 
@@ -137,7 +138,7 @@ func TestReadyzLifecycle(t *testing.T) {
 	}
 
 	// Draining flips readiness off while the process stays live.
-	s.draining.Store(true)
+	s.edge.draining.Store(true)
 	if got := status("/readyz"); got != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz while draining: %d, want 503", got)
 	}
@@ -163,8 +164,8 @@ func TestTieredLoadShedding(t *testing.T) {
 	predictBody := map[string]any{"model": "alpha", "input": queries[0]}
 
 	// Depth 2 of 4: audit sheds, reconstruct and predict still run.
-	s.sem <- struct{}{}
-	s.sem <- struct{}{}
+	s.edge.sem <- struct{}{}
+	s.edge.sem <- struct{}{}
 	shedBefore := obs.GetCounter("serve.audit.shed").Value()
 	if got := post("/v1/audit/leakage", auditBody); got != http.StatusServiceUnavailable {
 		t.Fatalf("audit at depth 2/4: status %d, want 503 shed", got)
@@ -180,7 +181,7 @@ func TestTieredLoadShedding(t *testing.T) {
 	}
 
 	// Depth 3 of 4: reconstruct sheds too; predict still admitted.
-	s.sem <- struct{}{}
+	s.edge.sem <- struct{}{}
 	if got := post("/v1/reconstruct", reconBody); got != http.StatusServiceUnavailable {
 		t.Fatalf("reconstruct at depth 3/4: status %d, want 503 shed", got)
 	}
@@ -190,14 +191,14 @@ func TestTieredLoadShedding(t *testing.T) {
 
 	// Depth 4 of 4: even predict is turned away — by capacity, with the
 	// adaptive Retry-After.
-	s.sem <- struct{}{}
+	s.edge.sem <- struct{}{}
 	resp, _ := postJSON(t, base+"/v1/predict", predictBody)
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "8" {
 		t.Fatalf("predict at depth 4/4: status %d Retry-After %q, want 503 + 8",
 			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 	for i := 0; i < 4; i++ {
-		<-s.sem
+		<-s.edge.sem
 	}
 }
 

@@ -1,44 +1,35 @@
-// Package serve is the HTTP transport adapter of the PRID serving
-// stack: a JSON-over-HTTP front end on the transport-agnostic engine
-// (internal/serve/engine) that holds the model registry and the predict
-// micro-batcher. The paper's whole point is what a deployed model gives
-// away, so beside prediction the same boundary exposes the attacker's
-// view (/v1/reconstruct) and a defender self-audit (/v1/audit/leakage):
+// Package serve is the one HTTP edge of the PRID serving stack. The
+// paper's whole point is what a deployed model gives away, so beside
+// prediction the same boundary exposes the attacker's view
+// (/v1/reconstruct) and a defender self-audit (/v1/audit/leakage):
 // PRID's threat model is an adversary with query access to a shared or
 // served model; this package is that query access made concrete.
 //
-// The transport owns everything HTTP: routing, JSON codecs, admission
-// control (503 + Retry-After when saturated), tiered load shedding,
-// panic recovery, per-request timeouts, request-ID assignment, and
-// graceful drain. The engine owns everything domain: the registry, the
-// micro-batcher, input validation, and the predict/attack/audit
-// operations — which is exactly what lets internal/gateway front the
-// same engine surface across a fleet of these servers.
+// An Edge owns everything HTTP: routing, the JSON codecs (the wire types
+// live in internal/serve/wire), admission control (503 + Retry-After
+// when saturated), tiered load shedding, panic recovery, per-request
+// timeouts, request-ID assignment and tracing, the debug surface, and
+// graceful drain. It answers /v1 from a Backend. `prid serve` is a
+// Server: an Edge over a local engine (internal/serve/engine), which
+// owns the registry, the micro-batcher, input validation, and the
+// predict/attack/audit operations. `prid gateway` is an Edge over
+// internal/gateway's router, which implements Backend across a fleet of
+// these servers. Both processes therefore answer with the same handlers
+// and the same bytes.
 //
 // The package is stdlib-only, like the rest of the module.
 package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"net"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"prid/internal/faultinject"
-	"prid/internal/obs"
 	"prid/internal/serve/engine"
 )
-
-// ModelInfo is the public shape of one registry entry, what GET
-// /v1/models returns. It lives in the engine; the alias keeps the
-// transport's API surface self-contained.
-type ModelInfo = engine.ModelInfo
-
-// ErrBatcherClosed is returned by the engine when a predict lands on an
-// entry mid-reload or mid-shutdown; the transport maps it to 503.
-var ErrBatcherClosed = engine.ErrBatcherClosed
 
 // Config tunes a Server. The zero value is usable: defaults are filled in
 // by NewServer.
@@ -89,78 +80,37 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server serves a model registry over HTTP. Create with NewServer,
+// Server is `prid serve`: an Edge over a local engine, plus the
+// process's own liveness and readiness probes. Create with NewServer,
 // populate the registry, then Start and eventually Shutdown.
 type Server struct {
-	cfg Config
-	eng *engine.Engine
-	reg *engine.Registry
-	srv *http.Server
-	ln  net.Listener
-	sem chan struct{}
-	// slow retains the slowest completed request traces for
-	// /debug/requests — the per-request latency evidence the aggregate
-	// histograms cannot show.
-	slow *obs.TraceRing
-	// draining flips when Shutdown begins; /readyz reports 503 from then
-	// on so balancers stop routing here while in-flight work finishes.
-	draining atomic.Bool
+	cfg  Config
+	eng  *engine.Engine
+	edge *Edge
 }
 
 // NewServer builds a server around cfg with an empty registry.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
-		cfg:  cfg,
-		eng:  engine.New(engine.Config{BatchWindow: cfg.BatchWindow, BatchMax: cfg.BatchMax}),
-		sem:  make(chan struct{}, cfg.MaxInFlight),
-		slow: obs.NewTraceRing(cfg.SlowTraces),
-	}
-	s.reg = s.eng.Registry()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealth)
-	mux.HandleFunc("/readyz", s.handleReady)
-	mux.Handle("/v1/models", s.limited("models", s.handleModels))
-	mux.Handle("/v1/models/reload", s.limited("models", s.handleReload))
-	mux.Handle("/v1/predict", s.limited("predict", s.handlePredict))
-	mux.Handle("/v1/similarities", s.limited("similarities", s.handleSimilarities))
-	mux.Handle("/v1/reconstruct", s.limited("reconstruct", s.handleReconstruct))
-	mux.Handle("/v1/audit/leakage", s.limited("audit", s.handleAuditLeakage))
-	obs.PublishExpvar()
-	registerDebug(mux)
-	mux.HandleFunc("/debug/requests", s.handleDebugRequests)
-	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	eng := engine.New(engine.Config{BatchWindow: cfg.BatchWindow, BatchMax: cfg.BatchMax})
+	s := &Server{cfg: cfg, eng: eng, edge: NewEdge(eng, cfg, "serve", stageService, shedFractions)}
+	s.edge.HandleFunc("/healthz", s.handleHealth)
+	s.edge.HandleFunc("/readyz", s.handleReady)
 	return s
 }
 
 // Registry exposes the server's model registry for population and
 // inspection.
-func (s *Server) Registry() *engine.Registry { return s.reg }
-
-// Engine exposes the transport's underlying engine — the same surface an
-// in-process caller (or a test asserting transport/domain parity) would
-// use directly.
-func (s *Server) Engine() *engine.Engine { return s.eng }
+func (s *Server) Registry() *engine.Registry { return s.eng.Registry() }
 
 // Start binds the configured address and serves in a background
 // goroutine until Shutdown.
 func (s *Server) Start() error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("serve: listening on %s: %w", s.cfg.Addr, err)
+	if err := s.edge.Start(); err != nil {
+		return err
 	}
-	s.ln = ln
-	// A serve loop that dies for any reason other than a requested
-	// shutdown means the process is up but silently not serving — log it
-	// and count it so /debug/vars and the logs show the outage.
-	go func() {
-		if err := s.srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			metricServeFailures.Inc()
-			logger.Error("serve loop exited", "err", err)
-		}
-	}()
 	//pridlint:allow leaksurface logs the bound address and batching config only, nothing model-derived
-	logger.Info("serving", "addr", s.Addr(), "models", s.reg.Len(),
+	logger.Info("serving", "addr", s.Addr(), "models", s.Registry().Len(),
 		"batch_window", s.cfg.BatchWindow, "batch_max", s.cfg.BatchMax,
 		"max_inflight", s.cfg.MaxInFlight)
 	return nil
@@ -168,92 +118,48 @@ func (s *Server) Start() error {
 
 // Addr returns the bound address (resolving ":0" to the real port).
 // Only valid after Start.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.edge.Addr() }
 
 // Shutdown marks the server draining (visible on /readyz), stops
 // accepting new connections, waits for in-flight requests to drain
 // (bounded by ctx), then closes the engine's batchers.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	err := s.srv.Shutdown(ctx)
+	err := s.edge.Shutdown(ctx)
 	s.eng.Close()
 	if err != nil {
-		return fmt.Errorf("serve: shutdown: %w", err)
+		return err
 	}
 	logger.Info("drained and stopped")
 	return nil
 }
 
-// limited wraps an endpoint handler with the server's resilience and
-// observability stack, outermost first: request-ID assignment and the
-// request trace, tiered load shedding and the concurrency semaphore
-// (503 + adaptive Retry-After), the request timeout, panic recovery, the
-// optional fault-injection middleware, and per-endpoint
-// request/error/latency metrics around the handler itself.
-func (s *Server) limited(name string, h func(w http.ResponseWriter, r *http.Request) error) http.Handler {
-	core := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		err := h(w, r)
-		obs.ReqTraceFrom(r.Context()).Mark(stageWrite)
-		observeRequest(name, start, err != nil)
-		if err != nil {
-			logger.Debug("request failed", "endpoint", name,
-				"req_id", obs.ReqTraceFrom(r.Context()).ID(), "err", err)
-		}
-	})
-	var inner http.Handler = core
-	if s.cfg.Injector != nil {
-		inner = faultinject.Middleware(s.cfg.Injector, name, inner)
-	}
-	inner = s.recovery(name, inner)
-	shedAt := shedThreshold(name, s.cfg.MaxInFlight)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Every request gets an ID (the client's, when it sent one) and a
-		// trace before any admission decision, so even a shed 503 is
-		// correlatable across client logs, server logs, and the error
-		// body. The ID is echoed on every response.
-		id := r.Header.Get("X-Request-ID")
-		if id == "" {
-			id = obs.NewRequestID()
-		}
-		w.Header().Set("X-Request-ID", id)
-		tr := obs.NewReqTrace(id, name)
-		r = r.WithContext(obs.ContextWithReqTrace(r.Context(), tr))
-		defer func() {
-			tr.Finish()
-			s.slow.Record(tr)
-		}()
-
-		// Tiered degradation: sheddable endpoints give way while the
-		// server still has headroom for the hot path. The depth read is
-		// approximate (racy against concurrent admits) — shedding is a
-		// pressure valve, not an invariant.
-		if depth := len(s.sem); shedAt < s.cfg.MaxInFlight && depth >= shedAt {
-			s.reject(w, r, name, depth, true,
-				fmt.Errorf("shedding %s under load (%d/%d in flight)", name, depth, s.cfg.MaxInFlight))
-			return
-		}
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			s.reject(w, r, name, s.cfg.MaxInFlight, false,
-				fmt.Errorf("server at capacity (%d requests in flight)", s.cfg.MaxInFlight))
-			return
-		}
-		tr.Mark(stageAdmitted)
-		metricInFlight.Set(float64(len(s.sem)))
-		defer func() {
-			<-s.sem
-			metricInFlight.Set(float64(len(s.sem)))
-		}()
-
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		inner.ServeHTTP(w, r.WithContext(ctx))
-	})
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "ok %d models\n", s.reg.Len()) //pridlint:allow errdrop probe response; a write failure has no in-band recovery
+	fmt.Fprintf(w, "ok %d models\n", s.Registry().Len()) //pridlint:allow errdrop probe response; a write failure has no in-band recovery
+}
+
+// handleReady is the orchestration-facing readiness probe, distinct from
+// the /healthz liveness probe: a live process is not ready to take
+// traffic before any model is loaded, and stops being ready the moment a
+// drain begins — exactly the windows where a balancer must route around
+// it even though the process is healthy.
+func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
+	reg := s.Registry()
+	switch {
+	case s.edge.Draining():
+		WriteError(w, r, http.StatusServiceUnavailable, errors.New("draining")) //pridlint:allow errdrop probe response; the balancer only reads the status code
+	case reg.Len() == 0:
+		WriteError(w, r, http.StatusServiceUnavailable, errors.New("no models loaded")) //pridlint:allow errdrop probe response; the balancer only reads the status code
+	default:
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintf(w, "ready %d models\n", reg.Len()) //pridlint:allow errdrop probe response; a write failure has no in-band recovery
+		// Store-backed models append their served generation and payload
+		// checksum — the one-line provenance a fleet operator scrapes to
+		// confirm which snapshot each backend recovered to after a crash.
+		for _, info := range reg.List() {
+			if info.Generation > 0 {
+				fmt.Fprintf(w, "model %s generation %d sha256 %s\n", info.Name, info.Generation, info.Checksum) //pridlint:allow errdrop probe response; a write failure has no in-band recovery
+			}
+		}
+	}
 }

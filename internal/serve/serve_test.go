@@ -14,6 +14,7 @@ import (
 
 	"prid/internal/obs"
 	"prid/internal/serve/engine"
+	"prid/internal/serve/wire"
 )
 
 // testServer starts a Server on a loopback port with two registered
@@ -69,7 +70,7 @@ func TestPredictRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var got predictResponse
+	var got wire.PredictResponse
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestPredictBadRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e apiError
+		var e wire.ErrorResponse
 		if jerr := json.NewDecoder(resp.Body).Decode(&e); jerr != nil || e.Error == "" {
 			t.Errorf("%s: error envelope missing (%v)", c.name, jerr)
 		}
@@ -146,7 +147,7 @@ func TestModelsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var got modelsResponse
+	var got wire.ModelsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestSimilaritiesEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var got similaritiesResponse
+	var got wire.SimilaritiesResponse
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestReconstructAndAuditEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("reconstruct status %d: %s", resp.StatusCode, body)
 	}
-	var rec reconstructResponse
+	var rec wire.ReconstructResponse
 	if err := json.Unmarshal(body, &rec); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestReconstructAndAuditEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("audit status %d: %s", resp.StatusCode, body)
 	}
-	var audit auditResponse
+	var audit wire.AuditResponse
 	if err := json.Unmarshal(body, &audit); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestReconstructAndAuditRejectNonFinite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e apiError
+		var e wire.ErrorResponse
 		jerr := json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
 		if jerr != nil || e.Error == "" {
@@ -278,11 +279,11 @@ func TestReconstructAndAuditRejectNonFinite(t *testing.T) {
 	}
 
 	// The guard the handlers wire in, with the handlers' field names.
-	rq := reconstructRequest{Model: "alpha", Query: []float64{0.1, math.NaN()}}
+	rq := wire.ReconstructRequest{Model: "alpha", Query: []float64{0.1, math.NaN()}}
 	if err := engine.CheckFiniteRow(rq.Query, "query"); err == nil || !strings.Contains(err.Error(), "query[1]") {
 		t.Fatalf("reconstruct NaN guard error %v does not name query[1]", err)
 	}
-	aq := auditRequest{
+	aq := wire.AuditRequest{
 		Model:   "alpha",
 		Train:   [][]float64{{0.1}, {math.Inf(1)}},
 		Queries: [][]float64{{math.Inf(-1)}},
@@ -352,7 +353,7 @@ func TestConcurrencyLimitRejects(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After")
 	}
-	var e apiError
+	var e wire.ErrorResponse
 	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 		t.Fatalf("503 body %q is not the error envelope", body)
 	}
@@ -388,7 +389,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if got.status != http.StatusOK {
 		t.Fatalf("in-flight request status %d (%s), want 200", got.status, got.body)
 	}
-	var pr predictResponse
+	var pr wire.PredictResponse
 	if err := json.Unmarshal(got.body, &pr); err != nil || len(pr.Predictions) != 1 {
 		t.Fatalf("in-flight request body %q not a prediction", got.body)
 	}
@@ -439,7 +440,7 @@ func TestLargeBatchBypass(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var got predictResponse
+	var got wire.PredictResponse
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +470,7 @@ func TestServeReloadEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload status %d: %s", resp.StatusCode, body)
 	}
-	var rr reloadResponse
+	var rr wire.ReloadResponse
 	if err := json.Unmarshal(body, &rr); err != nil {
 		t.Fatal(err)
 	}
@@ -492,18 +493,18 @@ func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
 // process that is up but silently not serving is the outage mode the
 // counter exists for.
 func TestServeLoopFailureIsCounted(t *testing.T) {
-	before := metricServeFailures.Value()
+	before := obs.GetCounter("serve.loop_failures").Value()
 	srv := NewServer(Config{Addr: "127.0.0.1:0"})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
 	// Kill the listener directly: Serve returns net.ErrClosed, which is
 	// not the http.ErrServerClosed a requested shutdown produces.
-	if err := srv.ln.Close(); err != nil {
+	if err := srv.edge.ln.Close(); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for metricServeFailures.Value() == before {
+	for obs.GetCounter("serve.loop_failures").Value() == before {
 		if time.Now().After(deadline) {
 			t.Fatal("serve.loop_failures not incremented after listener death")
 		}
